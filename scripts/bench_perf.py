@@ -7,10 +7,15 @@ scalar ``reference`` backend (or a per-demand loop, for the batched entry
 point) on sized instances, plus the serving-layer series: warm-vs-cold
 ``trace_replay`` through the artifact store and ``cluster_scaling`` (hot-key
 throughput of the sharded cluster as workers scale 1 -> 4).  The
-measurements (with speedup factors) go to ``BENCH_perf.json``.  CI runs this
-per commit and uploads the JSON as an artifact; the run fails (non-zero
-exit) when the backends deviate beyond tolerance or the mixed-family
-``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate.
+``water_fill``, ``water_fill_many`` and ``optop`` rows report a
+``cold_seconds`` column beside the warm one: the same call with a fresh
+``LatencyBatch`` (a fresh instance, for ``optop``) per call, the first
+solve a never-seen instance pays.  The measurements (with speedup factors)
+go to ``BENCH_perf.json``.  CI runs this per commit and uploads the JSON as
+an artifact; the run fails (non-zero exit) when the backends deviate beyond
+tolerance, the warm mixed-family ``water_fill`` speedup at ``m >= 1000``
+drops below the 10x gate, or the cold mixed-family ``water_fill`` is slower
+than the reference at any size.
 
 Usage::
 
@@ -40,6 +45,8 @@ from repro.equilibrium.parallel import (  # noqa: E402
     water_fill,
     water_fill_many,
 )
+from repro.latency.batch import LatencyBatch  # noqa: E402
+from repro.network.parallel import ParallelLinkInstance  # noqa: E402
 from repro.instances import (  # noqa: E402
     grid_network,
     layered_network,
@@ -68,8 +75,9 @@ def best_of(fn, *, repeats: int, budget: float = 5.0) -> float:
 def bench_water_fill(sizes, *, repeats: int):
     """water_fill on all-linear and mixed-family parallel instances.
 
-    The vectorized timing uses the instance-cached latency batch — exactly
-    what the OpTop inner loop and the analysis sweeps pay per solve.
+    The warm timing (``vectorized_seconds``) reuses the instance-cached
+    latency batch; the cold one builds a fresh batch per call, as the first
+    solve of an instance does.
     """
     rows = []
     for family, generator in (("linear", random_linear_parallel),
@@ -80,6 +88,9 @@ def bench_water_fill(sizes, *, repeats: int):
             vec = best_of(lambda: water_fill(instance.latencies, instance.demand,
                                              "nash", batch=batch),
                           repeats=repeats)
+            cold = best_of(lambda: water_fill(
+                instance.latencies, instance.demand, "nash",
+                batch=LatencyBatch(instance.latencies)), repeats=repeats)
             ref = best_of(lambda: water_fill(instance.latencies, instance.demand,
                                              "nash", backend="reference"),
                           repeats=max(2, repeats // 2))
@@ -92,12 +103,15 @@ def bench_water_fill(sizes, *, repeats: int):
                 "family": family,
                 "size": int(m),
                 "vectorized_seconds": vec,
+                "cold_seconds": cold,
                 "reference_seconds": ref,
                 "speedup": ref / vec,
+                "cold_speedup": ref / cold,
                 "max_flow_deviation": float(np.max(np.abs(flows_v - flows_r))),
             })
-            print(f"water_fill[{family}] m={m}: {vec*1e3:8.3f} ms vs "
-                  f"{ref*1e3:8.3f} ms -> {ref/vec:6.1f}x")
+            print(f"water_fill[{family}] m={m}: {vec*1e3:8.3f} ms "
+                  f"(cold {cold*1e3:8.3f} ms) vs {ref*1e3:8.3f} ms -> "
+                  f"{ref/vec:6.1f}x (cold {ref/cold:5.1f}x)")
     return rows
 
 
@@ -108,7 +122,8 @@ def bench_water_fill_many(sizes, *, num_demands: int, repeats: int):
     ``num_demands`` demands over one shared link system.  The batched entry
     point amortises the breakpoint grid and runs every Newton iteration
     vectorized across the batch; the loop pays the per-solve dispatch each
-    time.  Both sides reuse the instance-cached latency batch.
+    time.  Both sides reuse the instance-cached latency batch;
+    ``cold_seconds`` is the batched call with a fresh batch.
     """
     rows = []
     for m in sizes:
@@ -119,6 +134,9 @@ def bench_water_fill_many(sizes, *, num_demands: int, repeats: int):
         many = best_of(lambda: water_fill_many(instance.latencies, demands,
                                                "nash", batch=batch),
                        repeats=repeats)
+        cold = best_of(lambda: water_fill_many(
+            instance.latencies, demands, "nash",
+            batch=LatencyBatch(instance.latencies)), repeats=repeats)
         loop = best_of(lambda: [water_fill(instance.latencies, float(d),
                                            "nash", batch=batch)
                                 for d in demands],
@@ -133,22 +151,30 @@ def bench_water_fill_many(sizes, *, num_demands: int, repeats: int):
             "size": int(m),
             "num_demands": int(num_demands),
             "batched_seconds": many,
+            "cold_seconds": cold,
             "loop_seconds": loop,
             "speedup": loop / many,
             "max_flow_deviation": float(np.max(np.abs(flows_b - flows_l))),
         })
         print(f"water_fill_many[mixed] m={m} x{num_demands}: "
-              f"{many*1e3:8.3f} ms vs {loop*1e3:8.3f} ms -> "
-              f"{loop/many:6.1f}x")
+              f"{many*1e3:8.3f} ms (cold {cold*1e3:8.3f} ms) vs "
+              f"{loop*1e3:8.3f} ms -> {loop/many:6.1f}x")
     return rows
 
 
 def bench_optop(sizes, *, repeats: int):
-    """Full OpTop runs (optimum + Nash + per-round water filling)."""
+    """Full OpTop runs (optimum + Nash + per-round water filling).
+
+    ``cold_seconds`` runs OpTop on a fresh copy of the instance, so its
+    latency batch is built inside the timed call.
+    """
     rows = []
     for m in sizes:
         instance = random_linear_parallel(int(m), demand=0.2 * m, seed=7 + int(m))
         vec = best_of(lambda: optop(instance), repeats=repeats)
+        cold = best_of(lambda: optop(ParallelLinkInstance(instance.latencies,
+                                                          instance.demand)),
+                       repeats=repeats)
         ref = best_of(lambda: optop(instance, config=REFERENCE_CONFIG),
                       repeats=max(2, repeats // 2))
         beta_v = optop(instance).beta
@@ -158,12 +184,13 @@ def bench_optop(sizes, *, repeats: int):
             "family": "linear",
             "size": int(m),
             "vectorized_seconds": vec,
+            "cold_seconds": cold,
             "reference_seconds": ref,
             "speedup": ref / vec,
             "beta_deviation": abs(beta_v - beta_r),
         })
-        print(f"optop m={m}: {vec*1e3:8.3f} ms vs {ref*1e3:8.3f} ms "
-              f"-> {ref/vec:6.1f}x")
+        print(f"optop m={m}: {vec*1e3:8.3f} ms (cold {cold*1e3:8.3f} ms) "
+              f"vs {ref*1e3:8.3f} ms -> {ref/vec:6.1f}x")
     return rows
 
 
@@ -395,6 +422,9 @@ def main(argv=None) -> int:
                 or (row.get("benchmark") == "water_fill"
                     and row["family"] == "mixed" and row["size"] >= 1000
                     and row["speedup"] < 10.0)
+                or (row.get("benchmark") == "water_fill"
+                    and row["family"] == "mixed"
+                    and row["cold_speedup"] < 1.0)
                 or (row.get("benchmark") == "cluster_scaling"
                     and not args.quick and row["size"] == max(cluster_counts)
                     and row["speedup"] < 2.5)]

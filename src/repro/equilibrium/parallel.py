@@ -10,33 +10,31 @@ scalar equation.
 Two backends compute that level:
 
 * ``"vectorized"`` (the default) works on a
-  :class:`~repro.latency.batch.LatencyBatch`.  All-linear instances are
-  solved *exactly* in O(m log m) by the sorted-breakpoint closed form
-  (:func:`repro.utils.vectorized.piecewise_linear_level`) — no bisection at
-  all.  Mixed closed-form families (linear, M/M/1, power, monomial-like
-  polynomial) go through the generic *sorted-breakpoint level engine*
-  (:func:`repro.utils.vectorized.sorted_breakpoint_level`): the filled flow
-  is evaluated on the grid of activation breakpoints in one broadcast, one
-  ``searchsorted`` locates the active segment, and a few safeguarded Newton
-  steps finish inside it.  Rows without a closed-form inverse (multi-term
-  polynomials; shifted powers under marginal-cost equalisation) join the
-  solve as a scalar ``extra`` term, and only instances with strictly
-  increasing *generic*-bucket links fall back to the legacy bracket +
-  bisection level solve.
+  :class:`~repro.latency.batch.LatencyBatch` and solves every demand of a
+  call together.  When every increasing link is affine the level has an
+  exact prefix-sum closed form
+  (:func:`repro.utils.vectorized.piecewise_linear_levels`).  Every other set
+  of increasing links — mixed closed-form families, multi-term polynomials,
+  shifted powers under marginal cost, generic-bucket links — goes through
+  the one sorted-breakpoint level engine
+  (:func:`repro.utils.vectorized.sorted_breakpoint_levels`): an index
+  search over the sorted activation breakpoints (one broadcast when the
+  closed-form rows times the breakpoints fit
+  :data:`~repro.utils.vectorized.SEARCH_ELEMENTS`, O(log m) narrowing
+  passes otherwise, plain bisection when some rows are inverted level by
+  level) locates the active segment, and a few safeguarded Newton steps
+  finish inside it; no flow grid is built or cached.
 * ``"reference"`` is the original scalar implementation (per-link Python
   lambdas inside the bisection); it remains selectable through
   ``SolveConfig(kernel_backend="reference")`` and anchors the equivalence
   test-suite.
 
-:func:`water_fill_many` solves a whole batch of demands over one link system
-(a coalesced service micro-batch, a ``StudySpec`` demand axis, an elastic
-trace) in a single vectorized pass sharing the sorted breakpoints across
-instances.
+:func:`water_fill` is :func:`water_fill_many` with one demand.
 
 Constant-latency links (the documented extension; Pigou's example uses one)
-act as flow sinks: once the common level of the increasing links would exceed
-the smallest constant, the corresponding links absorb the excess flow at that
-fixed latency.
+act as flow sinks: the cheapest constant caps the common level of the
+increasing links, and once they cannot absorb the demand below it the
+corresponding links take the excess flow at that fixed latency.
 """
 
 from __future__ import annotations
@@ -57,9 +55,7 @@ from repro.obs.profiling import active as _profiling_active
 from repro.equilibrium.result import ParallelFlowResult
 from repro.utils.rootfind import bisect_root, expand_upper_bracket
 from repro.utils.vectorized import (
-    piecewise_linear_level,
     piecewise_linear_levels,
-    sorted_breakpoint_level,
     sorted_breakpoint_levels,
 )
 
@@ -93,22 +89,16 @@ def water_fill(latencies: Sequence[LatencyFunction], demand: float,
     ``batch`` over the same latencies avoids re-grouping on repeated solves.
     Returns ``(flows, common_level)`` where ``common_level`` is the equalised
     value on loaded links; unloaded links have a level at least as large.
+    This is :func:`water_fill_many` with the one demand.
 
     When profiling is active (``SolveConfig(profile=True)`` or a tracing
     service batch) each call reports a ``water_fill[<kind>]`` phase; when
     it is not — the default — the overhead is the one ``is None`` check
     on the recorder lookup.
     """
-    recorder = _profiling_active()
-    if recorder is None:
-        return _water_fill(latencies, demand, kind, tol=tol,
-                           backend=backend, batch=batch)
-    start = time.perf_counter()
-    try:
-        return _water_fill(latencies, demand, kind, tol=tol,
-                           backend=backend, batch=batch)
-    finally:
-        recorder.note(f"water_fill[{kind}]", time.perf_counter() - start)
+    flows, levels = _profiled(f"water_fill[{kind}]", latencies, [demand],
+                              kind, tol, backend, batch)
+    return flows[0], float(levels[0])
 
 
 def water_fill_many(latencies: Sequence[LatencyFunction],
@@ -123,19 +113,27 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
     ``StudySpec`` demand axis or an elastic-demand trace.  Returns
     ``(flows, levels)`` with ``flows`` of shape ``(len(demands), m)`` and one
     common level per demand; row ``j`` equals
-    ``water_fill(latencies, demands[j], kind)`` to solver tolerance.
+    ``water_fill(latencies, demands[j], kind)``.
 
     The vectorized backend shares all demand-independent structure across the
-    batch: the family grouping, the sorted activation breakpoints and the
-    grid of filled flows are computed once, segment location is one
-    ``searchsorted`` over the whole demand vector, and the safeguarded Newton
-    iterations run for all pending demands simultaneously.  Instances whose
-    links need a numeric fallback (generic bucket, non-closed-form rows) and
-    the ``"reference"`` backend fall back to a per-demand loop.
+    batch: the family grouping and the sorted activation breakpoints are
+    computed once, each segment-search pass evaluates the breakpoints every
+    pending demand probes in one broadcast, and the safeguarded Newton
+    iterations run for all pending demands simultaneously.  The
+    ``"reference"`` backend is a per-demand loop.
 
     Raises :class:`~repro.exceptions.ModelError` if *any* demand cannot be
-    routed (no constant links and the increasing links saturate below it).
+    routed (no constant links and the increasing links saturate at or below
+    it), and lets a :class:`~repro.exceptions.ConvergenceError` from the
+    level solve propagate.
     """
+    return _profiled(f"water_fill_many[{kind}]", latencies, demands, kind,
+                     tol, backend, batch)
+
+
+def _profiled(phase: str, latencies, demands, kind: str, tol: float,
+              backend: str, batch: Optional[LatencyBatch],
+              ) -> Tuple[np.ndarray, np.ndarray]:
     recorder = _profiling_active()
     if recorder is None:
         return _water_fill_many(latencies, demands, kind, tol=tol,
@@ -145,25 +143,26 @@ def water_fill_many(latencies: Sequence[LatencyFunction],
         return _water_fill_many(latencies, demands, kind, tol=tol,
                                 backend=backend, batch=batch)
     finally:
-        recorder.note(f"water_fill_many[{kind}]", time.perf_counter() - start)
+        recorder.note(phase, time.perf_counter() - start)
 
 
 def _water_fill_many(latencies: Sequence[LatencyFunction],
                      demands: Sequence[float], kind: str, *,
-                     tol: float = 1e-12, backend: str = "auto",
-                     batch: Optional[LatencyBatch] = None,
+                     tol: float, backend: str,
+                     batch: Optional[LatencyBatch],
                      ) -> Tuple[np.ndarray, np.ndarray]:
     if backend not in WATER_FILL_BACKENDS:
         raise ModelError(
             f"unknown water_fill backend {backend!r}; expected one of "
             f"{', '.join(WATER_FILL_BACKENDS)}")
+    _link_level_and_inverse(kind)  # validate ``kind`` before any work
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 1:
         raise ModelError(
             f"water_fill_many needs a 1-d demand array, got shape "
             f"{demands.shape}")
-    if np.any(demands < 0.0):
-        raise ModelError("demands must be >= 0")
+    if (demands < 0.0).any():
+        raise ModelError(f"demands must be >= 0, got {demands[demands < 0.0]}")
     if backend == "reference":
         latencies = list(latencies)
         flows = np.zeros((demands.shape[0], len(latencies)))
@@ -173,174 +172,56 @@ def _water_fill_many(latencies: Sequence[LatencyFunction],
                 latencies, float(d), kind, tol=tol)
         return flows, levels
 
-    _link_level_and_inverse(kind)  # validate ``kind`` before any work
     if batch is None:
         batch = LatencyBatch(latencies)
-    m = batch.size
-    if m == 0:
+    if batch.size == 0:
         raise ModelError("water_fill needs at least one link")
-    count = demands.shape[0]
-    flows = np.zeros((count, m), dtype=float)
-    levels = np.empty(count, dtype=float)
-    if count == 0:
+    level_at_zero = batch.values_at_zero
+    flows = np.zeros((demands.shape[0], batch.size), dtype=float)
+    levels = np.full(demands.shape[0], float(level_at_zero.min()))
+    positive = np.flatnonzero(demands > 0.0)
+    if positive.size == 0:
         return flows, levels
 
-    level_at_zero = batch.values_at_zero
     const_mask = batch.is_constant
-    inc_mask = ~const_mask
-    inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
-    constant_floor = float(level_at_zero[const_mask].min()) if const_mask.any() \
+    has_constants = bool(const_mask.any())
+    # The cheapest constant caps the level of the increasing links: above
+    # it the constant sinks absorb the excess.
+    floor = float(level_at_zero[const_mask].min()) if has_constants \
         else float("inf")
-    min_level = float(level_at_zero.min())
+    routed = demands[positive]
+    all_constant = bool(const_mask.all())
+    linear = None if all_constant else batch.linear_increasing_params()
+    if all_constant:
+        levels[positive] = floor
+    elif linear is not None:
+        slopes, intercepts, _ = linear
+        weights = 1.0 / slopes if kind == "nash" else 1.0 / (2.0 * slopes)
+        levels[positive] = np.minimum(
+            piecewise_linear_levels(weights, intercepts, routed), floor)
+    else:
+        if not has_constants and float(routed.max()) >= float(
+                batch.domain_upper[~const_mask].sum()):
+            raise ModelError(
+                "demand cannot be routed: no constant links and the "
+                "increasing links cannot absorb the demand")
+        profile = batch.level_profile(kind)
+        levels[positive] = sorted_breakpoint_levels(
+            profile.grid(), routed, profile.flow, profile.flow_dflow,
+            rows=profile.rows, numeric=profile.has_numeric, cap=floor,
+            tol=tol)
 
-    # Per-demand common level of the increasing links, solved batched when
-    # every link admits a closed form; otherwise one scalar solve per demand.
-    level_star = np.full(count, np.inf)
-    positive = demands > 0.0
-    if inc_mask.any() and positive.any():
-        batched = False
-        linear = batch.linear_increasing_params()
-        if linear is not None:
-            slopes, intercepts, _ = linear
-            weights = 1.0 / slopes if kind == "nash" else 1.0 / (2.0 * slopes)
-            level_star[positive] = piecewise_linear_levels(
-                weights, intercepts, demands[positive])
-            batched = True
-        else:
-            profile = batch.level_profile(kind)
-            if profile is not None and not profile.has_numeric:
-                try:
-                    grid_levels, grid_flows = profile.grid()
-                    level_star[positive] = sorted_breakpoint_levels(
-                        grid_levels, demands[positive],
-                        profile.flow_grid, profile.dflow_grid,
-                        grid_flows=grid_flows,
-                        flow_dflow_grid=profile.flow_dflow_grid, tol=tol)
-                    batched = True
-                except (ModelError, ConvergenceError):
-                    batched = False  # e.g. one demand saturates the links
-        if not batched:
-            # Numeric/generic rows (or a failed shared bracket): per-demand
-            # scalar solves, bit-identical to water_fill.
-            for j in range(count):
-                flows[j], levels[j] = _water_fill(
-                    latencies, float(demands[j]), kind, tol=tol, batch=batch)
-            return flows, levels
-
-    for j in range(count):
-        demand = float(demands[j])
-        if demand == 0.0:
-            levels[j] = min_level
-            continue
-        star = float(level_star[j])
-        if star <= constant_floor:
-            flows[j, inc_mask] = inverse(star)[inc_mask]
-            levels[j] = star
-        else:
-            if not const_mask.any():
-                raise ModelError(
-                    "demand cannot be routed: no constant links and the "
-                    "increasing links cannot absorb the demand")
-            levels[j] = constant_floor
-            if inc_mask.any():
-                flows[j, inc_mask] = inverse(constant_floor)[inc_mask]
+    # Constant rows invert to 0; at the floor the sinks take the rest.
+    inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
+    for j, demand, level in zip(positive.tolist(), routed.tolist(),
+                                levels[positive].tolist()):
+        flows[j] = inverse(level)
+        if level >= floor:
+            sinks = const_mask & (level_at_zero <= floor + 1e-12)
             leftover = max(0.0, demand - float(flows[j].sum()))
-            sinks = const_mask & (level_at_zero <= constant_floor + 1e-12)
             flows[j, sinks] = leftover / int(np.count_nonzero(sinks))
         flows[j] = _normalise_total(flows[j], demand)
     return flows, levels
-
-
-def _water_fill(latencies: Sequence[LatencyFunction], demand: float,
-                kind: str, *, tol: float = 1e-12, backend: str = "auto",
-                batch: Optional[LatencyBatch] = None,
-                ) -> Tuple[np.ndarray, float]:
-    if backend not in WATER_FILL_BACKENDS:
-        raise ModelError(
-            f"unknown water_fill backend {backend!r}; expected one of "
-            f"{', '.join(WATER_FILL_BACKENDS)}")
-    if backend == "reference":
-        return _water_fill_reference(latencies, demand, kind, tol=tol)
-    _link_level_and_inverse(kind)  # validate ``kind`` before any work
-    if batch is None:
-        batch = LatencyBatch(latencies)
-    m = batch.size
-    if m == 0:
-        raise ModelError("water_fill needs at least one link")
-    if demand < 0.0:
-        raise ModelError(f"demand must be >= 0, got {demand!r}")
-
-    level_at_zero = batch.values_at_zero  # marginal cost at 0 equals l(0)
-    flows = np.zeros(m, dtype=float)
-    if demand == 0.0:
-        return flows, float(level_at_zero.min())
-
-    const_mask = batch.is_constant
-    inc_mask = ~const_mask
-    inverse = batch.inverse_values if kind == "nash" else batch.inverse_marginals
-
-    constant_floor = float(level_at_zero[const_mask].min()) if const_mask.any() \
-        else float("inf")
-
-    if inc_mask.any():
-        linear = batch.linear_increasing_params()
-        if linear is not None:
-            # Pure linear/affine instance: exact sorted-breakpoint solve.
-            slopes, intercepts, _ = linear
-            weights = 1.0 / slopes if kind == "nash" else 1.0 / (2.0 * slopes)
-            level_star = piecewise_linear_level(weights, intercepts, demand)
-        else:
-            profile = batch.level_profile(kind)
-            if profile is not None:
-                # Mixed closed-form families: sorted-breakpoint engine —
-                # one broadcast over the activation grid, one searchsorted,
-                # a few safeguarded Newton steps inside the active segment.
-                try:
-                    grid_levels, grid_flows = profile.grid()
-                    level_star = sorted_breakpoint_level(
-                        grid_levels, demand, profile.flow_grid,
-                        grid_flows=grid_flows,
-                        extra=profile.extra if profile.has_numeric else None,
-                        flow_dflow=profile.flow_dflow, tol=tol)
-                except (ModelError, ConvergenceError):
-                    level_star = float("inf")
-            else:
-                # Strictly increasing generic-bucket links: no closed form
-                # at all, so bracket + bisect the level; each evaluation
-                # still inverts every increasing link in one batched call.
-                lo = float(level_at_zero[inc_mask].min())
-
-                def gap(level: float) -> float:
-                    return float(inverse(level)[inc_mask].sum()) - demand
-
-                try:
-                    hi = expand_upper_bracket(gap, lo,
-                                              initial=max(1.0, abs(lo)))
-                    level_star = bisect_root(gap, lo, hi, tol=tol)
-                except (ModelError, ConvergenceError):
-                    level_star = float("inf")
-    else:
-        level_star = float("inf")
-
-    if level_star <= constant_floor:
-        # The strictly increasing links absorb everything below the cheapest
-        # constant link; constants stay empty.
-        flows[inc_mask] = inverse(level_star)[inc_mask]
-        level = level_star
-    else:
-        # Constants at the floor latency absorb the excess flow.
-        if not const_mask.any():
-            raise ModelError(
-                "demand cannot be routed: no constant links and the increasing "
-                "links cannot absorb the demand")
-        level = constant_floor
-        if inc_mask.any():
-            flows[inc_mask] = inverse(level)[inc_mask]
-        leftover = max(0.0, demand - float(flows.sum()))
-        sinks = const_mask & (level_at_zero <= constant_floor + 1e-12)
-        flows[sinks] = leftover / int(np.count_nonzero(sinks))
-
-    return _normalise_total(flows, demand), float(level)
 
 
 def _normalise_total(flows: np.ndarray, demand: float) -> np.ndarray:

@@ -73,30 +73,10 @@ def _power_loads_at_levels(levels: np.ndarray, coeffs: np.ndarray,
     scale = coeffs * (1.0 + degrees)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x_pow = np.power(np.maximum(L - consts, 0.0) / scale, 1.0 / degrees)
+    if not lin.any():
+        return x_pow
     x_lin = np.maximum(L - consts - coeffs * offsets, 0.0) / (2.0 * coeffs)
     return np.where(lin, x_lin, x_pow)
-
-
-def _power_dloads_at_levels(levels: np.ndarray, coeffs: np.ndarray,
-                            degrees: np.ndarray, consts: np.ndarray,
-                            offsets: np.ndarray, kind: str) -> np.ndarray:
-    """Per-row ``dx/dL`` of :func:`_power_loads_at_levels`, 0 where inactive."""
-    L = np.asarray(levels, dtype=float)[:, None]
-    if kind == "nash":
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = np.maximum(L - consts, 0.0) / coeffs
-            x = np.power(t, 1.0 / degrees) - offsets
-            d = np.power(t, 1.0 / degrees - 1.0) / (coeffs * degrees)
-        return np.where(x > 0.0, d, 0.0)
-    lin = degrees == 1.0
-    scale = coeffs * (1.0 + degrees)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = np.maximum(L - consts, 0.0) / scale
-        d_pow = np.where(u > 0.0,
-                         np.power(u, 1.0 / degrees - 1.0) / (scale * degrees),
-                         0.0)
-    d_lin = (L > consts + coeffs * offsets) / (2.0 * coeffs)
-    return np.where(lin, d_lin, d_pow)
 
 
 def _power_level_flow_dflow(levels: np.ndarray, coeffs: np.ndarray,
@@ -125,6 +105,8 @@ def _power_level_flow_dflow(levels: np.ndarray, coeffs: np.ndarray,
         u = np.maximum(L - consts, 0.0) / scale
         r = np.power(u, 1.0 / degrees)
         d_pow = np.where(u > 0.0, r / (u * scale * degrees), 0.0)
+    if not lin.any():
+        return r.sum(axis=1), d_pow.sum(axis=1)
     x_lin = np.maximum(L - consts - coeffs * offsets, 0.0) / (2.0 * coeffs)
     d_lin = (L > consts + coeffs * offsets) / (2.0 * coeffs)
     flow = np.where(lin, x_lin, r).sum(axis=1)
@@ -239,10 +221,6 @@ class _LinearFamily(_Members):
         L = np.asarray(levels, dtype=float)[:, None]
         return (np.maximum(L - self.intercepts, 0.0)
                 / self._level_denoms(kind)).sum(axis=1)
-
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        L = np.asarray(levels, dtype=float)[:, None]
-        return ((L > self.intercepts) / self._level_denoms(kind)).sum(axis=1)
 
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -384,10 +362,6 @@ class _PowerFamily(_Members):
         return _power_loads_at_levels(levels, self.coeffs, self.degrees,
                                       self.consts, self.offsets, kind).sum(axis=1)
 
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        return _power_dloads_at_levels(levels, self.coeffs, self.degrees,
-                                       self.consts, self.offsets, kind).sum(axis=1)
-
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
         return _power_level_flow_dflow(levels, self.coeffs, self.degrees,
@@ -482,17 +456,6 @@ class _MM1Family(_Members):
                     self.factors * self.capacities / L)
             x = np.minimum(x, np.nextafter(self.capacities, 0.0))
         return np.where(L > free_flow, np.maximum(x, 0.0), 0.0).sum(axis=1)
-
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        L = np.asarray(levels, dtype=float)[:, None]
-        free_flow = self.factors / self.capacities
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if kind == "nash":
-                d = self.factors / (L * L)
-            else:
-                d = (0.5 * np.sqrt(self.factors * self.capacities)
-                     * np.power(L, -1.5))
-        return np.where(L > free_flow, d, 0.0).sum(axis=1)
 
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -624,11 +587,6 @@ class _PolyFamily(_Members):
                                       self.mono_degrees, self.mono_consts,
                                       self.offsets, kind).sum(axis=1)
 
-    def level_dflow_sum(self, levels: np.ndarray, kind: str) -> np.ndarray:
-        return _power_dloads_at_levels(levels, self.mono_coeffs,
-                                       self.mono_degrees, self.mono_consts,
-                                       self.offsets, kind).sum(axis=1)
-
     def level_flow_dflow_sum(self, levels: np.ndarray,
                              kind: str) -> Tuple[np.ndarray, np.ndarray]:
         return _power_level_flow_dflow(levels, self.mono_coeffs,
@@ -692,20 +650,24 @@ class _GenericFamily(_Members):
 
 
 class _LevelProfile:
-    """The sorted-breakpoint water-filling view of one batch for one kind.
+    """The water-filling view of one batch for one solve kind.
 
-    Splits the increasing families into *analytic* rows — those with a
-    closed-form inverse for the requested equalisation kind, evaluated on a
-    whole grid of candidate levels in one broadcast — and *numeric* rows
-    (multi-term polynomials; shifted powers when equalising marginal costs)
-    that are inverted per scalar level through the bisection fallback.  The
-    level engine (:func:`repro.utils.vectorized.sorted_breakpoint_level`)
-    consumes this object: ``breakpoints`` are the free-flow activation
-    levels, ``flow_grid`` the vectorized analytic filled flow, ``extra`` /
-    ``dflow`` the scalar hooks covering the numeric remainder.
+    Splits the strictly increasing links into *analytic* rows — those with a
+    closed-form inverse for the requested equalisation kind, evaluated at a
+    whole array of candidate levels in one broadcast per family — and
+    *numeric* rows (multi-term polynomials; shifted powers when equalising
+    marginal costs; generic-bucket links) inverted level by level.  The
+    level engine (:func:`repro.utils.vectorized.sorted_breakpoint_levels`)
+    consumes this object: :meth:`grid` gives the sorted activation
+    breakpoints, :meth:`flow` / :meth:`flow_dflow` the filled flow (and its
+    level-derivative) at an array of levels, ``rows`` and ``has_numeric``
+    the inputs of its segment-search rule.
+
+    Only the sorted breakpoints are cached; no flow is evaluated on the
+    breakpoint grid ahead of a solve, so building a profile costs O(m log m).
     """
 
-    #: Cap on level-grid x family-row broadcast size per chunk (elements).
+    #: Cap on level x family-row broadcast size per chunk (elements).
     _CHUNK_ELEMENTS = 2_000_000
 
     def __init__(self, batch: "LatencyBatch", kind: str) -> None:
@@ -713,74 +675,39 @@ class _LevelProfile:
         self._analytic: List[_Members] = []
         self._numeric: List[_Members] = []
         for fam in batch._families:
-            if isinstance(fam, (_ConstantFamily, _GenericFamily)):
+            if isinstance(fam, _ConstantFamily):
                 continue
             if fam.analytic_for(kind):
                 self._analytic.append(fam)
             else:
                 self._numeric.append(fam)
-        self.breakpoints = batch.values_at_zero[~batch.is_constant]
-        self._rows = sum(len(fam) for fam in self._analytic)
-        self._grid_levels: Optional[np.ndarray] = None
-        self._grid_flows: Optional[np.ndarray] = None
+        self._grid = np.unique(batch.values_at_zero[~batch.is_constant])
+        self.rows = sum(len(fam) for fam in self._analytic)
 
     @property
     def has_numeric(self) -> bool:
         return bool(self._numeric)
 
-    def grid(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted unique breakpoints with their analytic filled flows.
-
-        The grid is demand-independent, so it is computed once per profile
-        (i.e. once per batch and solve kind) and shared by every subsequent
-        solve — repeated water fillings of the same links cost only the
-        segment lookup plus a few Newton evaluations.
-        """
-        if self._grid_flows is None:
-            levels = np.unique(self.breakpoints)
-            if levels.size == 0 or not np.all(np.isfinite(levels)):
-                raise ModelError(
-                    "water filling needs finite activation breakpoints on "
-                    "at least one strictly increasing link")
-            self._grid_levels = levels
-            self._grid_flows = self.flow_grid(levels)
-        return self._grid_levels, self._grid_flows
-
-    def _chunked(self, levels, method: str) -> np.ndarray:
-        levels = np.asarray(levels, dtype=float)
-        total = np.zeros(levels.shape[0])
-        chunk = max(1, self._CHUNK_ELEMENTS // max(self._rows, 1))
-        for start in range(0, levels.shape[0], chunk):
-            block = levels[start:start + chunk]
-            out = total[start:start + chunk]
-            for fam in self._analytic:
-                out += getattr(fam, method)(block, self.kind)
-        return total
-
-    def flow_grid(self, levels) -> np.ndarray:
-        """Total analytic filled flow at each candidate level."""
-        return self._chunked(levels, "level_flow_sum")
-
-    def dflow_grid(self, levels) -> np.ndarray:
-        """Derivative of the analytic filled flow at each candidate level."""
-        return self._chunked(levels, "level_dflow_sum")
+    def grid(self) -> np.ndarray:
+        """Sorted unique activation breakpoints of the increasing links."""
+        return self._grid
 
     def _numeric_inverse(self, fam: _Members, level: float) -> np.ndarray:
         return fam.inverse_values(level) if self.kind == "nash" \
             else fam.inverse_marginals(level)
 
-    def extra(self, level: float) -> float:
-        """Filled flow of the numeric rows at a scalar level."""
-        total = 0.0
-        for fam in self._numeric:
-            total += float(self._numeric_inverse(fam, level).sum())
-        return total
-
     def _numeric_dflow(self, fam: _Members, x: np.ndarray) -> float:
-        """``d(filled flow)/dL`` of one numeric family at its loads ``x``."""
+        """``d(filled flow)/dL`` of one numeric family at its loads ``x``.
+
+        The implicit-function derivative ``1 / (d/dx level(x))``; NaN for
+        generic rows under marginal-cost equalisation, which expose no
+        second derivative (the engine then bisects).
+        """
         active = x > 0.0
         if not np.any(active):
             return 0.0
+        if self.kind == "optimum" and isinstance(fam, _GenericFamily):
+            return math.nan
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d1 = fam.derivs(x)
             if self.kind == "nash":
@@ -790,54 +717,44 @@ class _LevelProfile:
             contrib = np.where(active & (denom > 0.0), 1.0 / denom, 0.0)
         return float(contrib.sum())
 
-    def dflow(self, level: float) -> float:
-        """Total ``d(filled flow)/dL`` at a scalar level, numeric rows included."""
-        total = float(self.dflow_grid(np.array([level]))[0])
-        for fam in self._numeric:
-            total += self._numeric_dflow(fam, self._numeric_inverse(fam, level))
-        return total
+    def flow_dflow(self, levels, *,
+                   derivative: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+        """Filled flow and its level-derivative at each of ``levels``.
 
-    def flow_dflow_grid(self, levels) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused batched ``(flow, dflow)`` at an array of levels.
-
-        The array analogue of :meth:`flow_dflow` for the analytic rows: one
-        pass per family sharing the ``np.power`` intermediates between the
-        flow and its derivative, so the batched engine's Newton iterations
-        cost one family sweep instead of two.
+        Each analytic family is one broadcast sharing the ``np.power``
+        intermediates between the flow and its derivative; numeric rows are
+        inverted once per level.  ``derivative=False`` skips the derivative
+        (returned as zeros), the cheaper evaluation of a search pass.
         """
         levels = np.asarray(levels, dtype=float)
-        flow = np.zeros(levels.shape[0])
-        dflow = np.zeros(levels.shape[0])
-        chunk = max(1, self._CHUNK_ELEMENTS // max(self._rows, 1))
-        for start in range(0, levels.shape[0], chunk):
-            block = levels[start:start + chunk]
-            for fam in self._analytic:
-                f, d = fam.level_flow_dflow_sum(block, self.kind)
-                flow[start:start + chunk] += f
-                dflow[start:start + chunk] += d
-        return flow, dflow
-
-    def flow_dflow(self, level: float) -> Tuple[float, float]:
-        """Fused ``(filled flow, d flow/dL)`` at a scalar level.
-
-        One pass over the families sharing the expensive ``np.power``
-        intermediates between the flow and its derivative — the per-iteration
-        evaluation of the engine's safeguarded Newton loop.  Numeric rows
-        contribute their bisected inverse and the implicit-function derivative
-        ``1 / (d/dx level(x))`` at it.
-        """
-        levels = np.array([float(level)])
-        flow = 0.0
-        dflow = 0.0
+        size = levels.shape[0]
+        chunk = max(1, self._CHUNK_ELEMENTS // max(self.rows, 1))
+        if size > chunk:
+            parts = [self.flow_dflow(levels[start:start + chunk],
+                                     derivative=derivative)
+                     for start in range(0, size, chunk)]
+            return (np.concatenate([f for f, _ in parts]),
+                    np.concatenate([d for _, d in parts]))
+        flow = dflow = np.zeros(size)
         for fam in self._analytic:
-            f, d = fam.level_flow_dflow_sum(levels, self.kind)
-            flow += float(f[0])
-            dflow += float(d[0])
+            if derivative:
+                f, d = fam.level_flow_dflow_sum(levels, self.kind)
+                dflow = dflow + d
+            else:
+                f = fam.level_flow_sum(levels, self.kind)
+            flow = flow + f
         for fam in self._numeric:
-            x = self._numeric_inverse(fam, level)
-            flow += float(x.sum())
-            dflow += self._numeric_dflow(fam, x)
+            loads = [self._numeric_inverse(fam, level)
+                     for level in levels.tolist()]
+            flow = flow + np.array([x.sum() for x in loads])
+            if derivative:
+                dflow = dflow + np.array([self._numeric_dflow(fam, x)
+                                          for x in loads])
         return flow, dflow
+
+    def flow(self, levels) -> np.ndarray:
+        """Total filled flow at each of ``levels``."""
+        return self.flow_dflow(levels, derivative=False)[0]
 
 
 class LatencyBatch:
@@ -990,31 +907,27 @@ class LatencyBatch:
         return (self._linear.slopes, self._linear.intercepts,
                 self._linear.index_array())
 
-    def level_profile(self, kind: str) -> Optional[_LevelProfile]:
-        """The sorted-breakpoint engine profile for ``kind`` (cached).
+    def level_profile(self, kind: str) -> _LevelProfile:
+        """The water-filling profile of the increasing links for ``kind``.
 
-        Returns ``None`` when some strictly increasing link sits in the
-        generic bucket: those rows have no family closed form at all, so the
-        legacy bracket-and-bisect level solve is the only correct path.
+        Cached per kind; it holds only the sorted activation breakpoints, so
+        the first solve of a batch pays an O(m log m) sort and no flow grid.
         """
         if kind not in ("nash", "optimum"):
             raise ModelError(f"unknown water-filling kind {kind!r}")
-        cached = self._profiles.get(kind)
-        if cached is None:
-            if len(self._generic) and bool(np.any(
-                    ~self.is_constant[self._generic.index_array()])):
-                cached = False  # remembered "no profile available"
-            else:
-                cached = _LevelProfile(self, kind)
-            self._profiles[kind] = cached
-        return cached or None
+        profile = self._profiles.get(kind)
+        if profile is None:
+            profile = self._profiles[kind] = _LevelProfile(self, kind)
+        return profile
 
     def subset(self, indices: Sequence[int]) -> "LatencyBatch":
         """The batch restricted to ``indices``, by slicing the family arrays.
 
         Equivalent to ``LatencyBatch([batch.latencies[i] for i in indices])``
         but without re-running the per-link canonicaliser — the OpTop
-        recursion derives each round's sub-instance batch this way.
+        recursion derives each round's sub-instance batch this way.  The
+        subset starts with no level profile; its first water filling sorts
+        the subset's breakpoints.
         """
         indices = [int(i) for i in indices]
         if not indices:

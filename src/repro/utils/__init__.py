@@ -20,7 +20,6 @@ from repro.utils.optimize import golden_section_minimize, grid_refine_minimize
 from repro.utils.tables import format_table
 from repro.utils.vectorized import (
     expand_upper_brackets,
-    piecewise_linear_level,
     vectorized_bisect,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "golden_section_minimize",
     "grid_refine_minimize",
     "format_table",
-    "piecewise_linear_level",
     "vectorized_bisect",
     "expand_upper_brackets",
 ]

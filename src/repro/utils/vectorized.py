@@ -3,18 +3,17 @@
 These helpers are the NumPy counterparts of :mod:`repro.utils.rootfind`: the
 same monotone-root problems, solved for *every component of an array at once*
 instead of one scalar at a time.  They carry the vectorized water-filling
-solver (:func:`repro.equilibrium.parallel.water_fill`) and the batched latency
-inverses of :class:`repro.latency.batch.LatencyBatch`.
+solver (:func:`repro.equilibrium.parallel.water_fill_many`) and the batched
+latency inverses of :class:`repro.latency.batch.LatencyBatch`.
 
-* :func:`piecewise_linear_level` / :func:`piecewise_linear_levels` — the exact
-  O(m log m) sorted-breakpoint solve for the common level of an all-linear
-  water-filling problem (no bisection at all), for one demand or a batch of
-  demands over the same links;
-* :func:`sorted_breakpoint_level` / :func:`sorted_breakpoint_levels` — the
-  generic sorted-breakpoint *level engine*: the same segment-location idea for
-  any monotone "total filled flow at level L" function built from closed-form
-  family inverses, finished with a few safeguarded Newton steps inside the
-  active segment instead of 40+ full-array bisection passes;
+* :func:`piecewise_linear_levels` — the exact sorted-breakpoint closed form
+  for the common level of an all-linear water-filling problem, for a batch
+  of demands over the same links (prefix sums, no iteration at all);
+* :func:`sorted_breakpoint_levels` — the one *level engine* for every other
+  set of strictly increasing links: an index search over the sorted
+  activation breakpoints locates each demand's active segment, then a few
+  safeguarded Newton steps finish inside it; every search pass and Newton
+  iteration evaluates all pending demands in one call;
 * :func:`vectorized_bisect` — guarded bisection on arrays of brackets, one
   array op per step for all components simultaneously;
 * :func:`expand_upper_brackets` — geometric bracket expansion, masked so that
@@ -23,82 +22,66 @@ inverses of :class:`repro.latency.batch.LatencyBatch`.
 
 from __future__ import annotations
 
+import bisect
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConvergenceError, ModelError
 
 __all__ = [
-    "piecewise_linear_level",
+    "SEARCH_ELEMENTS",
     "piecewise_linear_levels",
-    "sorted_breakpoint_level",
     "sorted_breakpoint_levels",
     "vectorized_bisect",
     "expand_upper_brackets",
 ]
 
-
-def _linear_prefix(weights: np.ndarray, breakpoints: np.ndarray):
-    """Sorted breakpoints with the prefix sums of the affine level closed form."""
-    weights = np.asarray(weights, dtype=float)
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    if weights.shape != breakpoints.shape or weights.ndim != 1 or weights.size == 0:
-        raise ModelError(
-            "piecewise_linear_level needs matching 1-d weights/breakpoints")
-    if np.any(weights <= 0.0):
-        raise ModelError("piecewise_linear_level weights must be > 0")
-    order = np.argsort(breakpoints, kind="stable")
-    b = breakpoints[order]
-    w = weights[order]
-    cum_w = np.cumsum(w)
-    cum_wb = np.cumsum(w * b)
-    # Total filled flow evaluated at each breakpoint (0 at the smallest one).
-    # Note filled_at_breaks[j] uses the prefix sums *including* link j, whose
-    # own contribution at its breakpoint is zero, so the formula is exact.
-    filled_at_breaks = cum_w * b - cum_wb
-    return cum_w, cum_wb, filled_at_breaks
+#: Level x closed-form-row elements one segment-search pass of
+#: :func:`sorted_breakpoint_levels` may evaluate.  A pass probes
+#: ``SEARCH_ELEMENTS // rows`` breakpoints per demand, so a small link system
+#: finds its segment in one broadcast over every breakpoint and a large one
+#: in O(log m) narrowing passes, never through an O(m^2) grid.
+SEARCH_ELEMENTS = 4096
 
 
-def piecewise_linear_level(weights: np.ndarray, breakpoints: np.ndarray,
-                           demand: float) -> float:
-    """Exact level ``L`` with ``sum_i w_i * max(0, L - b_i) = demand``.
+def piecewise_linear_levels(weights: np.ndarray, breakpoints: np.ndarray,
+                            demands: np.ndarray) -> np.ndarray:
+    """Exact levels ``L_j`` with ``sum_i w_i * max(0, L_j - b_i) = demand_j``.
 
     This is the closed form of water filling over links whose level functions
     are affine: link ``i`` absorbs ``w_i * (L - b_i)`` once the common level
     ``L`` exceeds its breakpoint ``b_i`` (for a latency ``a x + b`` the weight
     is ``1/a`` when equalising latencies and ``1/(2a)`` when equalising
     marginal costs).  Sorting the breakpoints makes the total filled flow a
-    piecewise-linear increasing function of ``L``; a prefix-sum scan plus one
-    ``searchsorted`` finds the segment containing ``demand`` exactly — no
-    bisection, no per-link Python calls.
+    piecewise-linear increasing function of ``L``; prefix sums plus one
+    ``searchsorted`` find the segment containing every demand exactly, so
+    ``K`` demands over ``m`` links cost O(m log m + K log m).
 
-    ``weights`` must be positive and ``demand`` non-negative.
-    """
-    if demand < 0.0:
-        raise ModelError(f"demand must be >= 0, got {demand!r}")
-    cum_w, cum_wb, filled_at_breaks = _linear_prefix(weights, breakpoints)
-    k = int(np.searchsorted(filled_at_breaks, demand, side="right")) - 1
-    k = max(k, 0)
-    return float((demand + cum_wb[k]) / cum_w[k])
-
-
-def piecewise_linear_levels(weights: np.ndarray, breakpoints: np.ndarray,
-                            demands: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`piecewise_linear_level` over a batch of demands.
-
-    Solves ``sum_i w_i * max(0, L_j - b_i) = demand_j`` for every entry of
-    ``demands`` at once: the sort and prefix sums are shared across the batch,
-    so ``K`` demands over ``m`` links cost O(m log m + K log m) total instead
-    of ``K`` independent O(m log m) solves.
+    ``weights`` must be positive and ``demands`` non-negative.
     """
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 1:
         raise ModelError("piecewise_linear_levels needs a 1-d demand array")
-    if np.any(demands < 0.0):
+    if (demands < 0.0).any():
         raise ModelError("demands must be >= 0")
-    cum_w, cum_wb, filled_at_breaks = _linear_prefix(weights, breakpoints)
+    weights = np.asarray(weights, dtype=float)
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    if weights.shape != breakpoints.shape or weights.ndim != 1 or weights.size == 0:
+        raise ModelError(
+            "piecewise_linear_levels needs matching 1-d weights/breakpoints")
+    if (weights <= 0.0).any():
+        raise ModelError("piecewise_linear_levels weights must be > 0")
+    order = np.argsort(breakpoints, kind="stable")
+    b = breakpoints[order]
+    w = weights[order]
+    cum_w = np.cumsum(w)
+    cum_wb = np.cumsum(w * b)
+    # Total filled flow at each breakpoint (0 at the smallest one): the
+    # prefix sums *include* link j, whose own contribution at its breakpoint
+    # is zero, so the formula is exact.
+    filled_at_breaks = cum_w * b - cum_wb
     k = np.searchsorted(filled_at_breaks, demands, side="right") - 1
     np.maximum(k, 0, out=k)
     return (demands + cum_wb[k]) / cum_w[k]
@@ -108,249 +91,156 @@ def _validated_breakpoints(breakpoints: np.ndarray) -> np.ndarray:
     bp = np.unique(np.asarray(breakpoints, dtype=float))
     if bp.size == 0:
         raise ModelError("the breakpoint engine needs at least one breakpoint")
-    if not np.all(np.isfinite(bp)):
+    # Sorted, with any NaN last: the two ends decide finiteness.
+    if not (math.isfinite(bp[0]) and math.isfinite(bp[-1])):
         raise ModelError("activation breakpoints must be finite")
     return bp
 
 
-def sorted_breakpoint_level(breakpoints: np.ndarray, demand: float,
-                            flow_grid: Callable[[np.ndarray], np.ndarray], *,
-                            grid_flows: Optional[np.ndarray] = None,
-                            extra: Optional[Callable[[float], float]] = None,
-                            dflow: Optional[Callable[[float], float]] = None,
-                            flow_dflow: Optional[
-                                Callable[[float], Tuple[float, float]]] = None,
-                            tol: float = 1e-12, max_expansions: int = 200,
-                            max_iter: int = 200) -> float:
-    """The level ``L`` with ``flow_grid(L) + extra(L) = demand``.
+def sorted_breakpoint_levels(
+        breakpoints: np.ndarray, demands: np.ndarray,
+        flow: Callable[[np.ndarray], np.ndarray],
+        flow_dflow: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]], *,
+        rows: int, numeric: bool = False, cap: float = math.inf,
+        tol: float = 1e-12, max_expansions: int = 200,
+        max_iter: int = 200) -> np.ndarray:
+    """Levels ``L_j`` with ``flow(L_j) = demands[j]``, capped at ``cap``.
 
-    The generic sorted-breakpoint water-filling engine.  ``breakpoints`` are
-    the free-flow activation levels of the links (duplicates are fine — they
-    are deduplicated here); ``flow_grid(levels)`` maps an array of candidate
-    levels to the total closed-form filled flow at each of them, and must be
-    non-decreasing.  ``extra`` optionally adds the (scalar, typically
-    bisected) contribution of links without a closed-form inverse; ``dflow``
-    optionally supplies ``d(total flow)/dL`` at a scalar level, enabling
-    safeguarded Newton finishing inside the active segment.  ``flow_dflow``,
-    when given, replaces both per-iteration calls with one fused evaluation
-    returning ``(total flow including extra, total dflow)`` — the cheapest
-    option when the caller can share intermediates between the two.
+    The sorted-breakpoint water-filling engine.  ``breakpoints`` are the
+    free-flow activation levels of the links (duplicates are fine);
+    ``flow(levels)`` maps an array of candidate levels to the total filled
+    flow at each of them, must be non-decreasing and is zero at the smallest
+    breakpoint; ``flow_dflow(levels)`` returns ``(flow, d flow / dL)`` in
+    one fused evaluation (a NaN derivative turns that Newton step into a
+    bisection step).
 
-    The solve is: evaluate the total flow at every breakpoint once (one
-    vectorized call), locate the segment containing ``demand`` with a single
-    ``searchsorted`` (or an index bisection when ``extra`` makes grid values
-    non-precomputable), then run safeguarded Newton — each step either a
-    Newton update (when it stays inside the bracket) or a bisection fallback —
-    until the bracket width drops below ``tol * scale``, the same stopping
-    rule as :func:`repro.utils.rootfind.bisect_root`.
+    Segment location depends only on the input.  Each pass probes up to
+    ``SEARCH_ELEMENTS // rows`` breakpoints spread evenly over every open
+    demand's index range, where ``rows`` is the number of closed-form rows
+    one level evaluation broadcasts over; all probes of a pass are
+    evaluated in one call.  When the whole breakpoint set fits, that is one
+    broadcast; otherwise it is O(log m) narrowing passes.  ``numeric=True``
+    (rows inverted level by level) probes one breakpoint per pass: plain
+    index bisection.  Inside the located segment a safeguarded Newton
+    iteration — a Newton step when it stays inside the bracket, a bisection
+    step otherwise — starts from the secant of the two endpoint flows and
+    stops once the bracket is narrower than ``tol * scale`` (the stopping
+    rule of :func:`repro.utils.rootfind.bisect_root`) or the Newton
+    correction is below half of that.  Every iteration evaluates the pending
+    demands in one call; the per-demand bracket bookkeeping is scalar.
 
-    The breakpoint grid is demand-independent, so repeated solves over the
-    same links should precompute ``grid_flows = flow_grid(unique_breakpoints)``
-    once and pass it in — then ``breakpoints`` must already be sorted and
-    unique, and the per-solve cost drops to one ``searchsorted`` plus a few
-    O(m) Newton evaluations.
+    A finite ``cap`` (the cheapest constant-latency sink) is the top of the
+    search: a demand the links cannot absorb below it gets ``L_j = cap``
+    exactly.  Without one, demands above the top breakpoint bracket their
+    level by geometric expansion.
 
-    Raises :class:`ConvergenceError` when no finite level absorbs ``demand``
-    (e.g. M/M/1 links saturating below it) or when the flow evaluates to NaN.
-    """
-    if demand < 0.0:
-        raise ModelError(f"demand must be >= 0, got {demand!r}")
-    if grid_flows is None:
-        bp = _validated_breakpoints(breakpoints)
-        grid = np.asarray(flow_grid(bp), dtype=float)
-    else:
-        bp = np.asarray(breakpoints, dtype=float)
-        grid = np.asarray(grid_flows, dtype=float)
-        if bp.shape != grid.shape or bp.ndim != 1 or bp.size == 0:
-            raise ModelError(
-                "grid_flows must match the sorted unique breakpoints")
-
-    def total(level: float) -> float:
-        value = float(np.asarray(flow_grid(np.array([level])))[0])
-        if extra is not None:
-            value += float(extra(level))
-        return value
-    # Locate the active segment: the largest k with total(bp[k]) <= demand.
-    if extra is None:
-        k = max(int(np.searchsorted(grid, demand, side="right")) - 1, 0)
-        g_lo = float(grid[k]) - demand
-    else:
-        lo_i, hi_i = 0, int(bp.size) - 1
-        if total(float(bp[lo_i])) > demand:
-            k = 0
-        elif hi_i == lo_i or total(float(bp[hi_i])) <= demand:
-            k = hi_i
-        else:
-            while hi_i - lo_i > 1:
-                mid = (lo_i + hi_i) // 2
-                if total(float(bp[mid])) <= demand:
-                    lo_i = mid
-                else:
-                    hi_i = mid
-            k = lo_i
-        g_lo = total(float(bp[k])) - demand
-    lo = float(bp[k])
-    if g_lo >= 0.0:
-        # Only possible through rounding at the smallest breakpoint: the
-        # filled flow there is already (numerically) the demand.
-        return lo
-
-    g_hi = None
-    if k + 1 < bp.size:
-        hi = float(bp[k + 1])
-        if extra is None:
-            g_hi = float(grid[k + 1]) - demand
-    else:
-        # Above the top breakpoint: geometric expansion, exactly like the
-        # scalar expand_upper_bracket used by the bisection path.
-        hi = lo + max(1.0, abs(lo))
-        for _ in range(max_expansions):
-            g_hi = total(hi) - demand
-            if g_hi >= 0.0:
-                break
-            hi = lo + (hi - lo) * 2.0
-        else:
-            raise ConvergenceError(
-                f"could not bracket the water-filling level after "
-                f"{max_expansions} expansions", iterations=max_expansions)
-
-    scale = max(1.0, abs(lo), abs(hi))
-    # Secant start: both endpoint gaps are already known (from the cached
-    # grid or the expansion), so the first iterate is free and usually lands
-    # very close to the root.
-    x = 0.5 * (lo + hi)
-    if g_hi is not None and math.isfinite(g_hi) and g_hi > g_lo:
-        secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if lo < secant < hi:
-            x = secant
-    for _ in range(max_iter):
-        if flow_dflow is not None:
-            flow, d = flow_dflow(x)
-            g = float(flow) - demand
-            d = float(d)
-        else:
-            g = total(x) - demand
-            d = float(dflow(x)) if dflow is not None else math.nan
-        if math.isnan(g):
-            raise ConvergenceError(
-                "water-filling flow evaluated to NaN during the level solve")
-        if g == 0.0:
-            return x
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= tol * scale:
-            return 0.5 * (lo + hi)
-        step = None
-        if math.isfinite(d) and d > 0.0:
-            step = -g / d
-        if step is not None and lo < x + step < hi:
-            x = x + step
-            if abs(step) <= 0.5 * tol * scale:
-                return x
-        else:
-            x = 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
-def sorted_breakpoint_levels(breakpoints: np.ndarray, demands: np.ndarray,
-                             flow_grid: Callable[[np.ndarray], np.ndarray],
-                             dflow_grid: Callable[[np.ndarray], np.ndarray], *,
-                             grid_flows: Optional[np.ndarray] = None,
-                             flow_dflow_grid: Optional[Callable[
-                                 [np.ndarray],
-                                 Tuple[np.ndarray, np.ndarray]]] = None,
-                             tol: float = 1e-12, max_expansions: int = 200,
-                             max_iter: int = 200) -> np.ndarray:
-    """Batched :func:`sorted_breakpoint_level` over many demands at once.
-
-    Solves ``flow_grid(L_j) = demand_j`` for every entry of ``demands`` over
-    one shared breakpoint grid: the grid flows are evaluated once, one
-    ``searchsorted`` locates every active segment, and all the safeguarded
-    Newton iterations run vectorized across the batch (only rows that have
-    not converged are re-evaluated).  Requires closed forms throughout —
-    callers with numeric (``extra``) links fall back to the scalar engine.
-    As with :func:`sorted_breakpoint_level`, pass a precomputed
-    ``grid_flows`` (with sorted unique ``breakpoints``) to skip the grid
-    evaluation on repeated solves, and ``flow_dflow_grid`` — one fused call
-    returning ``(flows, dflows)`` — to halve the per-iteration family
-    sweeps.
+    Raises :class:`ConvergenceError` when an expansion finds no finite level
+    absorbing a demand or when the flow evaluates to NaN.
     """
     demands = np.asarray(demands, dtype=float)
     if demands.ndim != 1:
         raise ModelError("sorted_breakpoint_levels needs a 1-d demand array")
-    if np.any(demands < 0.0):
+    if (demands < 0.0).any():
         raise ModelError("demands must be >= 0")
-    if grid_flows is None:
-        bp = _validated_breakpoints(breakpoints)
-        grid = None
-    else:
-        bp = np.asarray(breakpoints, dtype=float)
-        grid = np.asarray(grid_flows, dtype=float)
-        if bp.shape != grid.shape or bp.ndim != 1 or bp.size == 0:
-            raise ModelError(
-                "grid_flows must match the sorted unique breakpoints")
+    bp = _validated_breakpoints(breakpoints)
+    if math.isfinite(cap):
+        # Links activating at or above the cap never carry flow.
+        bp = np.append(bp[:np.searchsorted(bp, cap)], cap)
+        if bp.size == 1:
+            return np.full(demands.size, float(cap))
     if demands.size == 0:
-        return np.empty(0, dtype=float)
-    if grid is None:
-        grid = np.asarray(flow_grid(bp), dtype=float)
-    k = np.searchsorted(grid, demands, side="right") - 1
-    np.maximum(k, 0, out=k)
-    lo = bp[k].astype(float)
-    hi = np.empty_like(lo)
-    inner = k + 1 < bp.size
-    hi[inner] = bp[np.minimum(k[inner] + 1, bp.size - 1)]
-    top = ~inner
-    if np.any(top):
-        hi[top] = expand_upper_brackets(
-            lambda h: np.asarray(flow_grid(h), dtype=float) - demands[top],
-            lo[top], initial=1.0, max_expansions=max_expansions)
+        return np.empty(0)
+    n = bp.size
+    per_pass = 1 if numeric else max(1, SEARCH_ELEMENTS // max(rows, 1))
+    targets = demands.tolist()
+    count = len(targets)
 
-    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    x = 0.5 * (lo + hi)
-    if np.any(inner):
-        # Secant start from the two grid endpoints of each active segment.
-        g_lo = grid[k] - demands
-        g_hi = grid[np.minimum(k + 1, bp.size - 1)] - demands
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        use = inner & (g_hi > g_lo) & (secant > lo) & (secant < hi)
-        x = np.where(use, secant, x)
-    active = np.ones(demands.size, dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        if flow_dflow_grid is not None:
-            flows, d = flow_dflow_grid(x[idx])
-            g = np.asarray(flows, dtype=float) - demands[idx]
-            d = np.asarray(d, dtype=float)
-        else:
-            g = np.asarray(flow_grid(x[idx]), dtype=float) - demands[idx]
-            d = None
-        if np.any(np.isnan(g)):
+    # Segment search.  Per demand: flow(bp[k_lo]) <= demand < flow(bp[k_hi]),
+    # where k_hi == n stands for "above the top breakpoint".
+    k_lo, k_hi = [0] * count, [n] * count
+    f_lo, f_hi = [0.0] * count, [math.nan] * count
+    pending = list(range(count)) if n > 1 else []
+    while pending:
+        p = min(per_pass, max(k_hi[j] - k_lo[j] for j in pending) - 1)
+        probes = {j: sorted({k_lo[j] + (k_hi[j] - k_lo[j]) * i // (p + 1)
+                             for i in range(1, p + 1)}) for j in pending}
+        shared = sorted(set().union(*probes.values()))
+        values = np.asarray(flow(bp[shared]), dtype=float)
+        if np.isnan(values).any():
             raise ConvergenceError(
                 "water-filling flow evaluated to NaN during the level solve")
-        below = g < 0.0
-        lo_i = np.where(below, x[idx], lo[idx])
-        hi_i = np.where(below, hi[idx], x[idx])
-        lo[idx] = lo_i
-        hi[idx] = hi_i
-        exact = g == 0.0
-        done = exact | (hi_i - lo_i <= tol * scale[idx])
-        if d is None:
-            d = np.asarray(dflow_grid(x[idx]), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.where(d > 0.0, -g / d, np.nan)
-        nxt = x[idx] + step
-        ok = np.isfinite(nxt) & (nxt > lo_i) & (nxt < hi_i)
-        small = ok & (np.abs(step) <= 0.5 * tol * scale[idx]) & ~done
-        new_x = np.where(ok, nxt, 0.5 * (lo_i + hi_i))
-        new_x = np.where(exact, x[idx], new_x)
-        x[idx] = new_x
-        active[idx] = ~(done | small)
-    return x
+        at = dict(zip(shared, values.tolist()))
+        for j in pending:
+            # Probes are sorted and the flow is monotone: the probes at or
+            # below the demand form a prefix.
+            idx = probes[j]
+            vals = [at[i] for i in idx]
+            c = bisect.bisect_right(vals, targets[j])
+            if c:
+                k_lo[j], f_lo[j] = idx[c - 1], vals[c - 1]
+            if c < len(idx):
+                k_hi[j], f_hi[j] = idx[c], vals[c]
+        pending = [j for j in pending if k_hi[j] - k_lo[j] > 1]
+
+    capped = math.isfinite(cap)
+    levels = bp[k_lo]
+    upper = bp[np.minimum(k_hi, n - 1)]
+    top = [] if capped else [j for j in range(count) if k_hi[j] == n]
+    if top:
+        upper[top] = expand_upper_brackets(
+            lambda h: np.asarray(flow(h), dtype=float) - demands[top],
+            levels[top], initial=np.maximum(1.0, np.abs(levels[top])),
+            max_expansions=max_expansions)
+    # Safeguarded Newton per demand: [index, x, lo, hi, scale].
+    work = []
+    for j, lo, hi in zip(range(count), levels.tolist(), upper.tolist()):
+        g_lo = f_lo[j] - targets[j]
+        if (capped and k_lo[j] == n - 1) or g_lo >= 0.0:
+            # Saturated at the cap, or (through rounding at the smallest
+            # breakpoint) already filled to the demand at ``lo``.
+            continue
+        # Secant start from the endpoint flows the search already knows
+        # (unknown above the top breakpoint: NaN falls back to the midpoint).
+        g_hi = f_hi[j] - targets[j]
+        x = 0.5 * (lo + hi)
+        if g_hi > g_lo:
+            secant = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            if lo < secant < hi:
+                x = secant
+        work.append([j, x, lo, hi, max(1.0, abs(lo), abs(hi))])
+    for _ in range(max_iter):
+        if not work:
+            break
+        flows, dflows = flow_dflow(np.array([w[1] for w in work]))
+        still = []
+        for w, f, d in zip(work, np.asarray(flows, dtype=float).tolist(),
+                            np.asarray(dflows, dtype=float).tolist()):
+            j, x, lo, hi, scale = w
+            g = f - targets[j]
+            if math.isnan(g):
+                raise ConvergenceError(
+                    "water-filling flow evaluated to NaN during the level "
+                    "solve")
+            if g < 0.0:
+                lo = x
+            else:
+                hi = x
+            step = -g / d if d > 0.0 and math.isfinite(d) else math.nan
+            levels[j] = x
+            if g == 0.0 or abs(step) <= 0.5 * tol * scale:
+                # ``x`` already is the level, even when rounding would put
+                # ``x + step`` beyond a bracket end (the secant start often
+                # lands on the root).
+                continue
+            if hi - lo <= tol * scale:
+                levels[j] = 0.5 * (lo + hi)
+                continue
+            x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+            still.append([j, x, lo, hi, scale])
+        work = still
+    for j, x, _, _, _ in work:
+        levels[j] = x
+    return levels
 
 
 def vectorized_bisect(func: Callable[[np.ndarray], np.ndarray],

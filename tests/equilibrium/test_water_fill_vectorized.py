@@ -1,8 +1,11 @@
 """Vectorized/reference water-filling equivalence (the kernel contract).
 
-Parametrized over random mixed instances (linear, M/M/1, polynomial, power
-and constant families), both solve kinds, zero-demand and constant-floor edge
-cases: the vectorized backend must match the scalar reference to 1e-9.
+Parametrized over random mixed instances (linear, M/M/1, polynomial, power,
+generic and constant families), both solve kinds, one and many demands,
+link counts on both sides of the level engine's one-pass search budget,
+zero-demand and constant-floor edge cases: the vectorized backend must match
+the scalar reference to 1e-9.  Kernel failures inside the level solve must
+surface as themselves, never as "demand cannot be routed".
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.equilibrium.parallel import (
     water_fill,
     water_fill_many,
 )
-from repro.exceptions import ModelError
+from repro.exceptions import ConvergenceError, ModelError
 from repro.latency import (
     BPRLatency,
     ConstantLatency,
@@ -28,7 +31,10 @@ from repro.latency import (
     PolynomialLatency,
 )
 from repro.instances import random_linear_parallel, random_mixed_parallel
+from repro.latency.base import LatencyFunction
+from repro.latency.batch import LatencyBatch
 from repro.network.parallel import ParallelLinkInstance
+from repro.utils.vectorized import SEARCH_ELEMENTS
 
 EQ_TOL = 1e-9
 
@@ -56,6 +62,62 @@ def random_family_links(seed: int, m: int = 12):
     if all(lat.is_constant for lat in links):
         links[0] = LinearLatency(1.0, 0.0)
     return links
+
+
+class _WeirdLatency(LatencyFunction):
+    """A strictly increasing latency with no family: the generic bucket."""
+
+    def value(self, x):
+        return 1.0 + x + 0.1 * np.sinh(x)
+
+    def derivative(self, x):
+        return 1.0 + 0.1 * np.cosh(x)
+
+    def integral(self, x):
+        return x + 0.5 * x * x + 0.1 * (np.cosh(x) - 1.0)
+
+
+def analytic_links(seed: int, m: int):
+    """``m`` increasing links with closed-form inverses for both kinds."""
+    rng = np.random.default_rng(seed)
+    links = []
+    for i in range(m):
+        if i % 3 == 0:
+            links.append(LinearLatency(float(rng.uniform(0.2, 3.0)),
+                                       float(rng.uniform(0.0, 1.0))))
+        elif i % 3 == 1:
+            links.append(MM1Latency(float(rng.uniform(2.0, 6.0))))
+        else:
+            links.append(MonomialLatency(float(rng.uniform(0.3, 2.0)),
+                                         float(rng.integers(2, 5)),
+                                         float(rng.uniform(0.0, 0.5))))
+    return links
+
+
+def one_pass_limit() -> int:
+    """Largest all-analytic link count whose segment search is one broadcast.
+
+    One pass needs ``SEARCH_ELEMENTS // rows`` probes to cover the ``m - 1``
+    breakpoints above the smallest, with ``rows = m``.
+    """
+    m = 1
+    while SEARCH_ELEMENTS // (m + 1) >= m:
+        m += 1
+    return m
+
+
+def assert_many_agree(latencies, demands, kind, *, batch=None):
+    """water_fill_many (and water_fill per demand) against the reference."""
+    flows, levels = water_fill_many(latencies, demands, kind, batch=batch)
+    for j, demand in enumerate(demands):
+        ref_flows, ref_level = water_fill(latencies, float(demand), kind,
+                                          backend="reference")
+        np.testing.assert_allclose(flows[j], ref_flows, atol=EQ_TOL, rtol=0.0)
+        assert levels[j] == pytest.approx(ref_level, abs=EQ_TOL)
+        one_flows, one_level = water_fill(latencies, float(demand), kind,
+                                          batch=batch)
+        np.testing.assert_allclose(one_flows, flows[j], atol=1e-12, rtol=0.0)
+        assert one_level == pytest.approx(levels[j], abs=1e-12, rel=1e-12)
 
 
 def assert_backends_agree(latencies, demand, kind, *, tol=1e-12):
@@ -240,20 +302,9 @@ class TestWaterFillMany:
 
     @pytest.mark.parametrize("kind", ["nash", "optimum"])
     def test_generic_fallback_rows(self, kind):
-        # A generic (no closed-form inverse) link forces the per-demand
-        # scalar fallback; results must still match the scalar solver.
-        from repro.latency.base import LatencyFunction
-
-        class _WeirdLatency(LatencyFunction):
-            def value(self, x):
-                return 1.0 + x + 0.1 * np.sinh(x)
-
-            def derivative(self, x):
-                return 1.0 + 0.1 * np.cosh(x)
-
-            def integral(self, x):
-                return x + 0.5 * x * x + 0.1 * (np.cosh(x) - 1.0)
-
+        # A generic (no closed-form inverse) link is inverted level by
+        # level inside the batched engine; results must still match the
+        # one-demand solver.
         links = [_WeirdLatency(), LinearLatency(1.0, 0.5), MM1Latency(4.0)]
         demands = np.array([0.3, 1.5, 3.0])
         flows, levels = water_fill_many(links, demands, kind)
@@ -305,3 +356,97 @@ class TestWaterFillMany:
         flows_a, _ = water_fill_many(links, demands, "nash", batch=batch)
         flows_b, _ = water_fill_many(links, demands, "nash")
         np.testing.assert_allclose(flows_a, flows_b, atol=EQ_TOL)
+
+
+class TestEngineAgreement:
+    """The one level engine against the reference, around its size rule."""
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_around_one_pass_budget(self, kind, offset, count):
+        m = one_pass_limit() + offset
+        links = analytic_links(m, m)
+        demands = np.linspace(0.05, 0.5, count) * m if count > 1 \
+            else np.array([0.3 * m])
+        assert_many_agree(links, demands, kind)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_search_rule_follows_the_budget(self, offset, monkeypatch):
+        # At the limit the first search evaluation covers every breakpoint
+        # above the smallest; one link more and it no longer fits.
+        m = one_pass_limit() + offset
+        links = analytic_links(m, m)
+        batch = LatencyBatch(links)
+        profile = batch.level_profile("nash")
+        sizes = []
+        original = profile.flow
+        monkeypatch.setattr(profile, "flow",
+                            lambda levels: sizes.append(len(levels))
+                            or original(levels))
+        water_fill(links, 0.3 * m, "nash", batch=batch)
+        assert profile.rows == m and profile.grid().size == m
+        if offset == 0:
+            assert sizes[0] == m - 1
+        else:
+            assert sizes[0] == SEARCH_ELEMENTS // m < m - 1
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_numeric_and_generic_rows(self, kind, count, seed):
+        # Multi-term polynomials (numeric for both kinds), shifted powers
+        # (numeric for the optimum) and a generic link, with constants.
+        links = random_family_links(seed) + [
+            _WeirdLatency(), MonomialLatency(0.8, 3.0, 0.2).shifted(0.4)]
+        demands = np.linspace(0.5, 6.0, count)
+        profile = LatencyBatch(links).level_profile(kind)
+        assert profile.has_numeric
+        assert_many_agree(links, demands, kind)
+
+
+class TestKernelFailuresPropagate:
+    """A kernel failure inside the level solve is not "cannot be routed"."""
+
+    class _FlakyInverse(LatencyFunction):
+        """``x + 0.1`` whose inverse fails for levels in (1, 2)."""
+
+        def value(self, x):
+            return x + 0.1
+
+        def derivative(self, x):
+            return 1.0 + 0.0 * x
+
+        def integral(self, x):
+            return 0.5 * x * x + 0.1 * x
+
+        def inverse_value(self, y):
+            if 1.0 < y < 2.0:
+                raise ConvergenceError("inverse failed mid-search")
+            return super().inverse_value(y)
+
+    @pytest.mark.parametrize("sink", [False, True])
+    def test_inverse_failure_propagates(self, sink):
+        # The Nash level of demand 3 is 1.55, inside the failing range; a
+        # constant at 2.5 must not turn the failure into a sink solution.
+        links = [self._FlakyInverse(), LinearLatency(1.0, 0.0)]
+        if sink:
+            links.append(ConstantLatency(2.5))
+        with pytest.raises(ConvergenceError):
+            water_fill(links, 3.0, "nash")
+        with pytest.raises(ConvergenceError):
+            water_fill_many(links, [0.5, 3.0], "nash")
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_mm1_saturates_into_constant_sink(self, kind):
+        links = [MM1Latency(1.0), ConstantLatency(5.0)]
+        flows, level = water_fill(links, 3.0, kind)
+        assert level == 5.0
+        assert flows[1] > 2.0 and flows.sum() == pytest.approx(3.0)
+        assert_backends_agree(links, 3.0, kind)
+
+    @pytest.mark.parametrize("demand", [3.0, 4.0])
+    def test_unroutable_demand_is_a_model_error(self, demand):
+        # No constants and the M/M/1 capacities sum to 3: saturated.
+        with pytest.raises(ModelError, match="cannot be routed"):
+            water_fill([MM1Latency(1.0), MM1Latency(2.0)], demand, "nash")

@@ -227,3 +227,31 @@ class TestSubset:
                                               backend="reference")
             np.testing.assert_allclose(flows, ref_flows, atol=1e-9)
             assert level == pytest.approx(ref_level, abs=1e-9)
+
+
+class TestLevelProfile:
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_grid_is_the_sorted_increasing_breakpoints(self, kind):
+        batch = LatencyBatch(MIXED + [LinearLatency(1.2, 0.3)])
+        profile = batch.level_profile(kind)
+        expected = np.unique(batch.values_at_zero[~batch.is_constant])
+        np.testing.assert_array_equal(profile.grid(), expected)
+        assert batch.level_profile(kind) is profile
+
+    @pytest.mark.parametrize("kind", ["nash", "optimum"])
+    def test_chunked_evaluation_matches_one_broadcast(self, kind,
+                                                      monkeypatch):
+        # Numeric rows (the multi-term polynomial) ride along level by
+        # level; the analytic broadcast is split into chunks of one level.
+        profile = LatencyBatch(MIXED).level_profile(kind)
+        levels = np.linspace(0.2, 3.0, 7)
+        flow, dflow = profile.flow_dflow(levels)
+        monkeypatch.setattr(profile, "_CHUNK_ELEMENTS", 1)
+        chunked_flow, chunked_dflow = profile.flow_dflow(levels)
+        np.testing.assert_allclose(chunked_flow, flow, rtol=1e-14)
+        np.testing.assert_allclose(chunked_dflow, dflow, rtol=1e-14)
+        np.testing.assert_array_equal(profile.flow(levels), chunked_flow)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ModelError):
+            LatencyBatch(MIXED).level_profile("nope")
