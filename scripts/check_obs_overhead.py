@@ -20,7 +20,11 @@ when the number drifts:
    beyond ``--tolerance`` (default 3%) fails the run.
 3. The enabled-vs-disabled delta — the actual cost of tracing +
    histograms when you opt in — is recorded alongside, so the trajectory
-   of both numbers lands in ``BENCH_obs.json`` per commit.
+   of both numbers lands in ``BENCH_obs.json`` per commit.  It is the
+   **median** of the per-trial deltas (each trial runs both services
+   back to back), printed with its min and max: a best-of-trials ratio
+   of two separately noisy maxima swings by tens of percent between
+   runs on a small machine, so it is recorded, not gated.
 
 Usage::
 
@@ -38,6 +42,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -77,7 +82,8 @@ def calibration_seconds(repeats: int = 3) -> float:
 
 def measure_warm_throughput(*, num_requests: int, num_distinct: int,
                             trials: int) -> dict:
-    """Warm req/s with obs off and on, interleaved over ``trials``.
+    """Warm req/s with obs off and on, interleaved over ``trials``;
+    returns each mode's per-trial list.
 
     Both services live for the whole measurement: the first (untimed)
     pass fills the tier-1 cache, then every timed pass is 100% warm.
@@ -89,7 +95,7 @@ def measure_warm_throughput(*, num_requests: int, num_distinct: int,
         "enabled": SolveService(max_wait_ms=1.0,
                                 obs=Observability(service="overhead-bench")),
     }
-    best = {"disabled": 0.0, "enabled": 0.0}
+    per_trial = {"disabled": [], "enabled": []}
     try:
         for mode, service in services.items():
             service.start()
@@ -106,11 +112,11 @@ def measure_warm_throughput(*, num_requests: int, num_distinct: int,
                     raise AssertionError(
                         f"{mode} warm pass was not all-hits: "
                         f"{record.stats.to_dict()}")
-                best[mode] = max(best[mode], record.requests_per_second)
+                per_trial[mode].append(record.requests_per_second)
     finally:
         for service in services.values():
             service.shutdown(wait=True, timeout=60.0)
-    return best
+    return per_trial
 
 
 def main(argv=None) -> int:
@@ -136,14 +142,20 @@ def main(argv=None) -> int:
     calibration = calibration_seconds()
     throughput = measure_warm_throughput(
         num_requests=num_requests, num_distinct=num_distinct, trials=trials)
-    disabled = throughput["disabled"]
-    enabled = throughput["enabled"]
-    enabled_overhead_pct = (100.0 * (disabled - enabled) / disabled
-                            if disabled > 0 else 0.0)
+    # The gate compares best-of-trials disabled throughput (the method
+    # the recorded baseline was taken with).
+    disabled = max(throughput["disabled"])
+    enabled = max(throughput["enabled"])
+    overheads = [100.0 * (off - on) / off
+                 for off, on in zip(throughput["disabled"],
+                                    throughput["enabled"])]
+    enabled_overhead_pct = statistics.median(overheads)
     print(f"calibration: {calibration * 1e3:.1f} ms")
-    print(f"warm throughput: obs off {disabled:8.0f} req/s, "
-          f"obs on {enabled:8.0f} req/s "
-          f"(enabled overhead {enabled_overhead_pct:+.1f}%)")
+    print(f"warm throughput (best of {trials}): obs off {disabled:8.0f} "
+          f"req/s, obs on {enabled:8.0f} req/s")
+    print(f"enabled overhead: median {enabled_overhead_pct:+.1f}% over "
+          f"{trials} interleaved trials (min {min(overheads):+.1f}%, "
+          f"max {max(overheads):+.1f}%)")
 
     record = {
         "calibration_seconds": calibration,
@@ -153,6 +165,8 @@ def main(argv=None) -> int:
         "disabled_requests_per_second": disabled,
         "enabled_requests_per_second": enabled,
         "enabled_overhead_pct": enabled_overhead_pct,
+        "enabled_overhead_pct_min": min(overheads),
+        "enabled_overhead_pct_max": max(overheads),
     }
 
     baseline_path = Path(args.baseline)

@@ -14,6 +14,10 @@ instances of it, so every consumer inherits the same guarantees:
 * **Honest counters** — a *hit* is a ``get`` that returned a value (or an
   externally coalesced serve folded in via :meth:`note`); a *miss* is a
   ``get`` that found nothing.  ``put`` never counts.
+
+The counters live in the cache's own metrics registry
+(:attr:`LRUCache.metrics`, ``repro_memory_cache_*``), guarded by the cache
+lock; :meth:`LRUCache.stats` is a view over it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,17 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Iterator, Optional
 
+from repro.obs.metrics import MetricsRegistry, register_series
+
 __all__ = ["LRUCache"]
+
+#: The counters ``clear``/``reset_stats`` zero (``size`` tracks the data).
+_RESETTABLE = ("hits", "misses", "evictions")
+#: The cache's series: ``(stats() key, metric name, kind, help, labels)``.
+SERIES = tuple((key, f"repro_memory_cache_{key}_total", "counter", "", {})
+               for key in _RESETTABLE) + tuple(
+    (key, f"repro_memory_cache_{key}", "gauge", "", {})
+    for key in ("size", "max_entries"))
 
 
 class LRUCache:
@@ -42,9 +56,9 @@ class LRUCache:
         self.max_entries = int(max_entries)
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self.metrics = MetricsRegistry()
+        self._m = register_series(self.metrics, SERIES, self._lock)
+        self._m["max_entries"].value = self.max_entries
 
     # ------------------------------------------------------------------ #
     # Access
@@ -59,10 +73,10 @@ class LRUCache:
             try:
                 value = self._data[key]
             except KeyError:
-                self._misses += 1
+                self._m["misses"].value += 1
                 return default
             self._data.move_to_end(key)
-            self._hits += 1
+            self._m["hits"].value += 1
             return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -77,7 +91,8 @@ class LRUCache:
             self._data.move_to_end(key)
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
-                self._evictions += 1
+                self._m["evictions"].value += 1
+            self._m["size"].value = len(self._data)
 
     def note(self, *, hits: int = 0, misses: int = 0) -> None:
         """Fold externally served lookups into the counters.
@@ -88,8 +103,8 @@ class LRUCache:
         keeps ``hits + misses == lookups`` exact under concurrency.
         """
         with self._lock:
-            self._hits += int(hits)
-            self._misses += int(misses)
+            self._m["hits"].value += int(hits)
+            self._m["misses"].value += int(misses)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -112,25 +127,22 @@ class LRUCache:
         with self._lock:
             evicted = len(self._data)
             self._data.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
+            self._m["size"].value = 0
+            self.reset_stats()
             return evicted
 
     def reset_stats(self) -> None:
         """Zero the counters while keeping every entry (benchmark use:
         measure a fresh pass over a warm cache without rebuilding it)."""
         with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
+            for key in _RESETTABLE:
+                self._m[key].value = 0
 
     def stats(self) -> Dict[str, int]:
-        """Atomic snapshot: ``hits``, ``misses``, ``evictions``, ``size``."""
+        """Atomic view: ``hits``, ``misses``, ``evictions``, ``size``,
+        ``max_entries``."""
         with self._lock:
-            return {"hits": self._hits, "misses": self._misses,
-                    "evictions": self._evictions, "size": len(self._data),
-                    "max_entries": self.max_entries}
+            return {key: metric.value for key, metric in self._m.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging cosmetics
         s = self.stats()

@@ -5,7 +5,7 @@ Reuses the exact synthetic workload of ``repro serve bench``
 popularity-skewed tail) and pushes it through a real cluster: worker
 *processes* behind a :class:`~repro.cluster.gateway.ClusterGateway`.  Per
 pass it records wall time, throughput and the *exact* cross-shard stats
-delta (:meth:`~repro.serve.ServiceStats.merge` of every shard), so the
+delta (the merged registry snapshot of every shard), so the
 record proves the cluster's two serving guarantees:
 
 * a 100%-warm second pass performs **zero solver calls on any shard**
@@ -174,7 +174,7 @@ def run_cluster_bench(*, num_requests: int = 400, num_distinct: int = 320,
     result = ClusterBenchResult(n_workers=len(cluster.workers))
     try:
         before_stats = cluster.stats()
-        previous = ServiceStats.from_dict(dict(before_stats["merged"]))
+        previous = cluster.merged_stats(refresh=False)
         prev_forwarded = _per_worker(before_stats, "forwarded")
         prev_enqueued = _per_worker(before_stats, "enqueued")
         hist_before = _gateway_latency_snapshot(cluster)
@@ -186,7 +186,7 @@ def run_cluster_bench(*, num_requests: int = 400, num_distinct: int = 320,
                 future.result(timeout=600.0)
             seconds = time.perf_counter() - start
             now_stats = cluster.stats()
-            now = ServiceStats.from_dict(dict(now_stats["merged"]))
+            now = cluster.merged_stats(refresh=False)
             forwarded = _per_worker(now_stats, "forwarded")
             enqueued = _per_worker(now_stats, "enqueued")
             quantiles = None

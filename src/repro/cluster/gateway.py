@@ -32,15 +32,18 @@ it:
    :class:`~repro.exceptions.ServiceTimeoutError` (HTTP 504, never
    retried).
 
-``stats()`` aggregates every shard's exact
-:class:`~repro.serve.ServiceStats` via
-:meth:`~repro.serve.ServiceStats.merge` (dead shards contribute their
-last-known snapshot), so the merged buckets still partition the forwarded
-requests exactly; the gateway's own counters (routed / retried / re-routed
-/ failed) sit alongside.  The same surface is exposed over HTTP —
-``/solve``, ``/stats``, ``/metrics`` (Prometheus exposition of the exact
-same counters), ``/trace`` (aggregated Chrome ``trace_event`` view of the
-gateway plus every worker ring), ``/health``, ``/drain`` — by
+The gateway's own counters (routed / retried / re-routed / failed, plus
+per-node forwarded and respawn counts) live in its metrics registry.
+``stats()`` aggregates the shards by merging their registry snapshots
+with :func:`~repro.obs.metrics.merge_snapshots` (dead shards contribute
+their last-known snapshot, respawned shards the final snapshots of their
+previous incarnations), so the merged
+:class:`~repro.serve.ServiceStats` view still partitions the forwarded
+requests exactly.  The same surface is exposed over HTTP — ``/solve``,
+``/stats``, ``/metrics`` (Prometheus exposition of the gateway registry
+merged with the shards' counters), ``/trace`` (aggregated Chrome
+``trace_event`` view of the gateway plus every worker ring),
+``/health``, ``/drain`` — by
 :meth:`ClusterGateway.start_http`, with body-blind forwarding: the
 instance digest rides in the ``X-Repro-Digest`` header, so the gateway
 never parses instance JSON on the hot path.
@@ -53,7 +56,7 @@ import json
 import logging
 import random
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import SolveConfig
 from repro.api.report import SolveReport
@@ -66,8 +69,8 @@ from repro.exceptions import (
     WorkerUnavailableError,
 )
 from repro.obs import Observability, trace_id_for
-from repro.obs.collect import (collect_cluster_stats, merged_snapshot,
-                               render_merged)
+from repro.obs.metrics import (MetricsRegistry, merge_snapshots,
+                               register_series, render_prometheus)
 from repro.serve.service import ServiceStats
 
 __all__ = ["ClusterGateway", "WorkerEndpoint"]
@@ -78,18 +81,38 @@ logger = logging.getLogger("repro.cluster.gateway")
 _CONNECTION_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError,
                       protocol._WireError)
 
+#: The gateway's counters: ``(stats()["gateway"] key, metric name, kind,
+#: help, labels)``.
+_GATEWAY_SERIES = tuple(
+    (key, f"repro_gateway_{key}_total", "counter", "", {})
+    for key in ("requests", "completed", "remote_errors", "overload_retries",
+                "reroutes", "failures", "timeouts", "breaker_opens",
+                "breaker_closes", "unavailable_waits", "worker_respawns"))
+
+#: Per-node series, labeled ``node="host:port"``.
+_NODE_SERIES = (
+    ("alive", "repro_worker_alive", "gauge",
+     "Worker liveness as seen by the gateway", {}),
+    ("breaker_open", "repro_worker_breaker_open", "gauge",
+     "Whether the node's circuit breaker is open", {}),
+    ("forwarded", "repro_worker_forwarded_total", "counter",
+     "Requests forwarded to the node", {}),
+    ("respawns", "repro_worker_respawns_total", "counter",
+     "Process respawns recorded for the node", {}),
+)
+
 
 class WorkerEndpoint:
-    """Gateway-side state of one worker: address, pool, health, counters.
+    """Gateway-side state of one worker: address, pool, health, snapshots.
 
     Liveness is a **circuit breaker**, not a tombstone: a connection-level
     failure (or ``breaker_threshold`` consecutive remote errors) opens the
-    breaker — ``alive`` goes ``False`` and routing instantly fails over,
-    exactly like the old hard ``_mark_dead``.  But after ``breaker_cooldown``
-    seconds the gateway half-opens it with a ``/health`` probe; a healthy
-    answer (a recovered worker, or a supervised respawn on the same port)
-    closes the breaker and the shard takes its keys back.  A worker that
-    stays dead keeps failing its probes and so stays not-alive.
+    breaker — ``alive`` goes ``False`` and routing instantly fails over.
+    After ``breaker_cooldown`` seconds the gateway half-opens it with a
+    ``/health`` probe; a healthy answer (a recovered worker, or a
+    supervised respawn on the same port) closes the breaker and the shard
+    takes its keys back.  A worker that stays dead keeps failing its
+    probes and so stays not-alive.
     """
 
     def __init__(self, host: str, port: int, *, max_inflight: int = 8) -> None:
@@ -102,15 +125,13 @@ class WorkerEndpoint:
         self.alive = True
         self.semaphore = asyncio.Semaphore(max_inflight)
         self.pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        #: Requests this gateway handed to the worker (includes retries).
-        self.forwarded = 0
-        #: Last successfully fetched stats snapshot; kept after death so
-        #: the aggregate never loses a shard's served history.
-        self.last_stats: Optional[ServiceStats] = None
+        #: Last successfully fetched registry snapshot; kept after death
+        #: so the aggregate never loses a shard's served history.
+        self.last_snapshot: Optional[Dict[str, Any]] = None
         #: Final snapshots of previous incarnations (archived when a
         #: supervised respawn resets the worker's own counters to zero);
         #: merged into the aggregate so served history survives respawns.
-        self.retired_stats: List[ServiceStats] = []
+        self.retired_snapshots: List[Dict[str, Any]] = []
         #: Consecutive remote failures since the last success.
         self.failures = 0
         #: ``time.monotonic()`` of the breaker opening (``None`` = closed).
@@ -175,8 +196,9 @@ class ClusterGateway:
         Seconds an open breaker waits before a half-open ``/health`` probe
         may close it again.
     obs:
-        Optional :class:`repro.obs.Observability`.  When set, every
-        submission mints a deterministic trace id
+        Optional :class:`repro.obs.Observability`.  When set, the
+        gateway's counters live on its registry, and every submission
+        mints a deterministic trace id
         (:func:`repro.obs.trace_id_for` over the request digest and the
         gateway's sequence counter), ships it to the shard as
         ``x-repro-trace-id``, and records a ``gateway.request`` span
@@ -205,11 +227,16 @@ class ClusterGateway:
         self.breaker_cooldown = float(breaker_cooldown)
         self._rng = random.Random(0xC1F5)
         self._obs = obs
-        self._counters: Dict[str, int] = {
-            "requests": 0, "completed": 0, "remote_errors": 0,
-            "overload_retries": 0, "reroutes": 0, "failures": 0,
-            "timeouts": 0, "breaker_opens": 0, "breaker_closes": 0,
-            "unavailable_waits": 0, "worker_respawns": 0}
+        #: The registry the gateway's counters live in (``obs.registry``
+        #: when observability is on).
+        self.metrics = MetricsRegistry() if obs is None else obs.registry
+        self._m = register_series(self.metrics, _GATEWAY_SERIES)
+        self._nodes = {
+            node_id: register_series(self.metrics, _NODE_SERIES,
+                                     node=node_id)
+            for node_id in self.workers}
+        for worker in self.workers.values():
+            self._sync_node_gauges(worker)
         self._server: Optional[asyncio.base_events.Server] = None
 
     # ------------------------------------------------------------------ #
@@ -226,9 +253,11 @@ class ClusterGateway:
             raise WorkerUnavailableError("no alive workers in the cluster")
         return self.workers[route(digest, alive)]
 
-    def _mark_dead(self, worker: WorkerEndpoint, reason: str) -> None:
-        """Open ``worker``'s circuit breaker (the historical entry point)."""
-        self._open_breaker(worker, reason)
+    def _sync_node_gauges(self, worker: WorkerEndpoint) -> None:
+        """Publish ``worker``'s liveness and breaker state as gauges."""
+        node = self._nodes[worker.node_id]
+        node["alive"].set(1 if worker.alive else 0)
+        node["breaker_open"].set(1 if worker.breaker_open else 0)
 
     def _open_breaker(self, worker: WorkerEndpoint, reason: str) -> None:
         if worker.alive:
@@ -237,7 +266,8 @@ class ClusterGateway:
             worker.last_probe_at = worker.breaker_opened_at
             worker.failures = 0
             worker.close()
-            self._counters["breaker_opens"] += 1
+            self._sync_node_gauges(worker)
+            self._m["breaker_opens"].inc()
             logger.warning(
                 "worker %s breaker opened (%s); re-routing its keys",
                 worker.node_id, reason)
@@ -247,7 +277,8 @@ class ClusterGateway:
             worker.alive = True
             worker.breaker_opened_at = None
             worker.failures = 0
-            self._counters["breaker_closes"] += 1
+            self._sync_node_gauges(worker)
+            self._m["breaker_closes"].inc()
             logger.info("worker %s breaker closed; shard takes keys back",
                         worker.node_id)
 
@@ -312,7 +343,7 @@ class ClusterGateway:
         from the digest and the gateway's sequence counter and shipped to
         the shard in the trace header.
         """
-        self._counters["requests"] += 1
+        self._m["requests"].inc()
         obs = self._obs
         span = None
         if obs is not None:
@@ -329,8 +360,8 @@ class ClusterGateway:
                 remaining = None if deadline is None \
                     else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
-                    self._counters["timeouts"] += 1
-                    self._counters["failures"] += 1
+                    self._m["timeouts"].inc()
+                    self._m["failures"].inc()
                     return protocol.error_response(ServiceTimeoutError(
                         "deadline expired in the gateway retry loop",
                         elapsed=-remaining))
@@ -351,21 +382,21 @@ class ClusterGateway:
                     # probe to close a breaker before failing the caller.
                     unavailable_waits += 1
                     if unavailable_waits > self.max_retries:
-                        self._counters["failures"] += 1
+                        self._m["failures"].inc()
                         return protocol.error_response(exc)
-                    self._counters["unavailable_waits"] += 1
+                    self._m["unavailable_waits"].inc()
                     delay = self.breaker_cooldown
                     if remaining is not None:
                         delay = min(delay, max(0.0, remaining))
                     await asyncio.sleep(delay)
                     continue
                 async with worker.semaphore:
-                    worker.forwarded += 1
+                    self._nodes[worker.node_id]["forwarded"].inc()
                     try:
                         status, payload = await worker.request(
                             "POST", "/solve", body, headers=headers)
                     except _CONNECTION_ERRORS as exc:
-                        self._counters["reroutes"] += 1
+                        self._m["reroutes"].inc()
                         reroutes += 1
                         self._open_breaker(worker, repr(exc))
                         continue
@@ -374,21 +405,21 @@ class ClusterGateway:
                     if retryable == "closed":
                         # A draining/stopped shard cannot take the key back;
                         # fail over exactly like a dead connection.
-                        self._counters["reroutes"] += 1
+                        self._m["reroutes"].inc()
                         reroutes += 1
                         self._open_breaker(worker,
                                            "service closed (draining)")
                         continue
                     overload_attempts += 1
                     if overload_attempts > self.max_retries:
-                        self._counters["failures"] += 1
+                        self._m["failures"].inc()
                         return status, payload
                     delay = self._backoff_seconds(overload_attempts)
                     if remaining is not None:
                         # Never sleep past the caller's deadline; the expiry
                         # check at the top of the loop turns it into a 504.
                         delay = min(delay, max(0.0, remaining))
-                    self._counters["overload_retries"] += 1
+                    self._m["overload_retries"].inc()
                     logger.info(
                         "worker %s overloaded (queue depth %s); backoff retry "
                         "%d/%d in %.1f ms", worker.node_id, queue_depth,
@@ -397,12 +428,12 @@ class ClusterGateway:
                     continue
                 if status == 200:
                     worker.failures = 0
-                    self._counters["completed"] += 1
+                    self._m["completed"].inc()
                 elif status == 504:
-                    self._counters["timeouts"] += 1
-                    self._counters["remote_errors"] += 1
+                    self._m["timeouts"].inc()
+                    self._m["remote_errors"].inc()
                 else:
-                    self._counters["remote_errors"] += 1
+                    self._m["remote_errors"].inc()
                     self._note_remote_failure(worker)
                 if span is not None:
                     span.annotate("status", status)
@@ -444,16 +475,17 @@ class ClusterGateway:
     # Cluster-wide observability & lifecycle
     # ------------------------------------------------------------------ #
     async def refresh_worker_stats(self) -> None:
-        """Fetch ``/stats`` from every alive shard (marks dead on failure)."""
+        """Fetch every alive shard's registry snapshot (``/metrics`` as
+        JSON); marks a shard dead on a connection failure."""
         async def fetch(worker: WorkerEndpoint) -> None:
             try:
-                status, payload = await worker.request("GET", "/stats")
+                status, payload = await worker.request(
+                    "GET", "/metrics?format=json")
             except _CONNECTION_ERRORS as exc:
-                self._mark_dead(worker, repr(exc))
+                self._open_breaker(worker, repr(exc))
                 return
             if status == 200:
-                worker.last_stats = ServiceStats.from_dict(
-                    json.loads(payload.decode("utf-8")))
+                worker.last_snapshot = json.loads(payload.decode("utf-8"))
 
         await asyncio.gather(*(fetch(worker)
                                for worker in self.workers.values()
@@ -463,70 +495,84 @@ class ClusterGateway:
         """Record that the worker at ``node_id`` was respawned in place.
 
         Called by the launcher's supervisor once the replacement process
-        announced readiness on the *same* port.  The dead incarnation's
-        last snapshot is archived into ``retired_stats`` (the replacement's
-        counters restart from zero, and the aggregate must not lose the
-        served history), the stale connection pool is dropped, and the
-        breaker is closed so routing returns immediately — the replacement
-        is warm via the shared store.
+        announced readiness on the *same* port.  The respawn is counted
+        for the node whether or not its snapshot was ever fetched; the
+        dead incarnation's last snapshot (if any) is archived into
+        ``retired_snapshots`` (the replacement's counters restart from
+        zero, and the aggregate must not lose the served history), the
+        stale connection pool is dropped, and the breaker is closed so
+        routing returns immediately — the replacement is warm via the
+        shared store.
         """
         worker = self.workers.get(node_id)
         if worker is None:
             return
-        if worker.last_stats is not None:
-            worker.retired_stats.append(worker.last_stats)
-            worker.last_stats = None
+        if worker.last_snapshot is not None:
+            worker.retired_snapshots.append(worker.last_snapshot)
+            worker.last_snapshot = None
         worker.close()
-        self._counters["worker_respawns"] += 1
+        self._nodes[node_id]["respawns"].inc()
+        self._m["worker_respawns"].inc()
         self._close_breaker(worker)
+
+    async def shard_snapshot(self, *, refresh: bool = True
+                             ) -> Dict[str, Any]:
+        """Every shard's registry snapshot merged into one.
+
+        Live shards contribute their latest snapshot, dead ones their
+        last-known one, respawned ones additionally the archived
+        snapshots of their previous incarnations.
+        """
+        if refresh:
+            await self.refresh_worker_stats()
+        snapshots: List[Dict[str, Any]] = []
+        for worker in self.workers.values():
+            snapshots.extend(worker.retired_snapshots)
+            if worker.last_snapshot is not None:
+                snapshots.append(worker.last_snapshot)
+        return merge_snapshots(*snapshots)
 
     async def stats(self, *, refresh: bool = True) -> Dict[str, object]:
         """The aggregated cluster picture.
 
-        ``merged`` is the exact :meth:`~repro.serve.ServiceStats.merge` of
-        every shard's snapshot — dead shards contribute their last-known
-        one, respawned shards additionally contribute the archived
-        snapshots of their previous incarnations — so its buckets
-        partition the forwarded requests exactly; ``workers`` holds the
-        per-shard snapshots, breaker state and routing counters;
-        ``gateway`` the gateway's own accounting (including
-        ``breaker_opens`` / ``breaker_closes`` / ``timeouts`` /
-        ``worker_respawns``).
+        ``merged`` is the :class:`~repro.serve.ServiceStats` view of
+        :meth:`shard_snapshot`, so its buckets partition the forwarded
+        requests exactly; ``workers`` holds each shard's own view,
+        breaker state and routing counters; ``gateway`` the gateway's own
+        accounting (including ``breaker_opens`` / ``breaker_closes`` /
+        ``timeouts`` / ``worker_respawns``).
         """
-        if refresh:
-            await self.refresh_worker_stats()
-        snapshots: List[ServiceStats] = []
-        for worker in self.workers.values():
-            snapshots.extend(worker.retired_stats)
-            if worker.last_stats is not None:
-                snapshots.append(worker.last_stats)
-        merged = ServiceStats().merge(*snapshots)
+        shards = await self.shard_snapshot(refresh=refresh)
         return {
-            "gateway": dict(self._counters),
+            "gateway": {key: metric.value
+                        for key, metric in self._m.items()},
             "workers": {
                 node_id: {
                     "alive": worker.alive,
                     "breaker_open": worker.breaker_open,
-                    "forwarded": worker.forwarded,
-                    "respawns": len(worker.retired_stats),
-                    "stats": None if worker.last_stats is None
-                    else worker.last_stats.to_dict(),
+                    "forwarded": self._nodes[node_id]["forwarded"].value,
+                    "respawns": self._nodes[node_id]["respawns"].value,
+                    "stats": None if worker.last_snapshot is None
+                    else ServiceStats.from_snapshot(
+                        worker.last_snapshot).to_dict(),
                 }
                 for node_id, worker in self.workers.items()},
-            "merged": merged.to_dict(),
+            "merged": ServiceStats.from_snapshot(shards).to_dict(),
         }
 
-    async def metrics_registries(self, *, refresh: bool = True) -> List:
-        """The registries behind ``GET /metrics``: the cluster ``stats()``
-        mapping projected through :func:`repro.obs.collect.collect_cluster_stats`
-        (exact numeric equality with the legacy surface by construction),
-        plus the gateway's own live registry when observability is on.
+    async def metrics_snapshot(self, *, refresh: bool = True
+                               ) -> Dict[str, Any]:
+        """The snapshot behind ``GET /metrics``: the gateway's registry
+        merged with the shards' counters and gauges.
+
+        The shards' latency histograms stay on each worker's own
+        ``/metrics``; the gateway's ``repro_gateway_request_seconds`` is
+        the end-to-end view.
         """
-        registries = [collect_cluster_stats(
-            await self.stats(refresh=refresh))]
-        if self._obs is not None:
-            registries.append(self._obs.registry)
-        return registries
+        shards = await self.shard_snapshot(refresh=refresh)
+        return merge_snapshots(self.metrics.snapshot(), {
+            name: family for name, family in shards.items()
+            if family["type"] != "histogram"})
 
     async def trace(self, *, last: Optional[int] = None,
                     aggregate: bool = True) -> Dict[str, object]:
@@ -574,7 +620,7 @@ class ClusterGateway:
             try:
                 status, payload = await worker.request("POST", "/drain", body)
             except _CONNECTION_ERRORS as exc:
-                self._mark_dead(worker, repr(exc))
+                self._open_breaker(worker, repr(exc))
                 return False
             return status == 200 and json.loads(payload).get("drained", False)
 
@@ -592,6 +638,7 @@ class ClusterGateway:
                 pass
             worker.alive = False
             worker.close()
+            self._sync_node_gauges(worker)
 
         await asyncio.gather(*(stop_one(worker)
                                for worker in self.workers.values()
@@ -715,11 +762,11 @@ class ClusterGateway:
             return 200, json.dumps(await self.stats(),
                                    sort_keys=True).encode("utf-8")
         if route_key == ("GET", "/metrics"):
-            registries = await self.metrics_registries()
+            snapshot = await self.metrics_snapshot()
             if "format=json" in path.partition("?")[2]:
-                return 200, json.dumps(merged_snapshot(*registries),
+                return 200, json.dumps(snapshot,
                                        sort_keys=True).encode("utf-8")
-            return (200, render_merged(*registries).encode("utf-8"),
+            return (200, render_prometheus(snapshot).encode("utf-8"),
                     "text/plain; version=0.0.4; charset=utf-8")
         if route_key == ("GET", "/trace"):
             query = path.partition("?")[2]

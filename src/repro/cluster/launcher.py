@@ -49,7 +49,7 @@ from repro.cluster.gateway import ClusterGateway
 from repro.exceptions import ClusterError
 from repro.faults.spec import PROCESS_FATAL_KINDS, FaultPlan
 from repro.obs import Observability
-from repro.obs.collect import merged_snapshot, render_merged
+from repro.obs.metrics import register_series, render_prometheus
 from repro.serve.service import ServiceStats
 
 __all__ = ["ClusterHandle", "EventLoopThread", "WorkerProcess",
@@ -58,6 +58,17 @@ __all__ = ["ClusterHandle", "EventLoopThread", "WorkerProcess",
 logger = logging.getLogger("repro.cluster.launcher")
 
 _READY_LINE = re.compile(r"REPRO_WORKER_READY port=(\d+) pid=(\d+)")
+
+#: The supervisor's series, on the gateway's registry: ``(stats() key,
+#: metric name, kind, help, labels)``.
+_SUPERVISOR_SERIES = (
+    ("enabled", "repro_supervisor_enabled", "gauge", "", {}),
+    ("max_respawns", "repro_supervisor_max_respawns", "gauge", "", {}),
+    ("worker_respawns", "repro_supervisor_respawns_total", "counter", "",
+     {}),
+    ("respawn_failures", "repro_supervisor_respawn_failures_total",
+     "counter", "", {}),
+)
 
 
 class EventLoopThread:
@@ -229,6 +240,9 @@ class WorkerSupervisor(threading.Thread):
     :meth:`~repro.cluster.gateway.ClusterGateway.note_worker_respawn` so
     the dead incarnation's stats are archived and its breaker closes.
     A worker past its budget stays dead (and its keys stay failed over).
+    The supervisor's counters live on the gateway's registry, and each
+    respawn is counted in the same event-loop callback that records it
+    for the node, so the two never disagree in a ``stats()`` read.
     """
 
     def __init__(self, *, workers: List[WorkerProcess],
@@ -242,7 +256,9 @@ class WorkerSupervisor(threading.Thread):
         self.max_respawns = int(max_respawns)
         self.check_interval = float(check_interval)
         self.backoff_base = float(backoff_base)
-        self.respawn_failures = 0
+        self._m = register_series(gateway.metrics, _SUPERVISOR_SERIES)
+        self._m["enabled"].set(1)
+        self._m["max_respawns"].set(self.max_respawns)
         # Not "_stop": threading.Thread uses that name internally.
         self._halt = threading.Event()
 
@@ -250,10 +266,6 @@ class WorkerSupervisor(threading.Thread):
         self._halt.set()
         if self.is_alive():
             self.join(timeout=timeout)
-
-    @property
-    def total_respawns(self) -> int:
-        return sum(worker.respawns for worker in self.workers)
 
     def run(self) -> None:
         while not self._halt.wait(self.check_interval):
@@ -267,7 +279,7 @@ class WorkerSupervisor(threading.Thread):
                 try:
                     worker.respawn()
                 except Exception as exc:  # noqa: BLE001 - keep supervising
-                    self.respawn_failures += 1
+                    self._m["respawn_failures"].inc()
                     logger.warning("respawn of worker %s failed: %r",
                                    node_id, exc)
                     continue
@@ -275,15 +287,20 @@ class WorkerSupervisor(threading.Thread):
                     "worker %s died; respawned (pid %d, respawn %d/%d)",
                     node_id, worker.process.pid, worker.respawns,
                     self.max_respawns)
-                self.loop.loop.call_soon_threadsafe(
-                    self.gateway.note_worker_respawn, node_id)
+                self.loop.loop.call_soon_threadsafe(self._note_respawn,
+                                                    node_id)
+
+    def _note_respawn(self, node_id: str) -> None:
+        """Count one respawn (runs on the gateway's event loop)."""
+        self._m["worker_respawns"].inc()
+        self.gateway.note_worker_respawn(node_id)
 
     def stats(self) -> Dict[str, object]:
         return {
             "enabled": True,
             "max_respawns": self.max_respawns,
-            "worker_respawns": self.total_respawns,
-            "respawn_failures": self.respawn_failures,
+            "worker_respawns": self._m["worker_respawns"].value,
+            "respawn_failures": self._m["respawn_failures"].value,
         }
 
 
@@ -344,32 +361,36 @@ class ClusterHandle:
     # ------------------------------------------------------------------ #
     def stats(self, *, refresh: bool = True) -> Dict[str, object]:
         """Aggregated cluster stats (see :meth:`ClusterGateway.stats`),
-        plus a ``supervisor`` section when supervision is enabled."""
-        stats = self.loop.run(self.gateway.stats(refresh=refresh),
-                              timeout=60.0)
-        stats["supervisor"] = {"enabled": False} if self.supervisor is None \
-            else self.supervisor.stats()
-        return stats
+        plus a ``supervisor`` section when supervision is enabled.
+
+        The supervisor section is read on the gateway's event loop right
+        after the gateway's, so its ``worker_respawns`` matches the sum of
+        the per-node ``respawns``.
+        """
+        async def read() -> Dict[str, object]:
+            stats = await self.gateway.stats(refresh=refresh)
+            stats["supervisor"] = {"enabled": False} \
+                if self.supervisor is None else self.supervisor.stats()
+            return stats
+
+        return self.loop.run(read(), timeout=60.0)
 
     def merged_stats(self, *, refresh: bool = True) -> ServiceStats:
         """The cross-shard :class:`~repro.serve.ServiceStats` aggregate."""
-        return ServiceStats.from_dict(
-            dict(self.stats(refresh=refresh)["merged"]))
+        return ServiceStats.from_snapshot(self.loop.run(
+            self.gateway.shard_snapshot(refresh=refresh), timeout=60.0))
 
     def metrics(self, *, fmt: str = "text",
                 refresh: bool = True) -> Union[str, Dict[str, object]]:
-        """The gateway's ``/metrics`` surface without the HTTP hop:
-        the Prometheus exposition (``fmt="text"``) or the JSON snapshot
-        (``fmt="json"``) of the aggregated cluster counters, merged with
-        the gateway's live latency histograms when observability is on.
+        """The gateway's ``/metrics`` surface without the HTTP hop: the
+        Prometheus exposition (``fmt="text"``) or the JSON snapshot
+        (``fmt="json"``) of :meth:`ClusterGateway.metrics_snapshot`.
         """
-        registries = self.loop.run(
-            self.gateway.metrics_registries(refresh=refresh), timeout=60.0)
-        if fmt == "json":
-            return merged_snapshot(*registries)
-        if fmt != "text":
+        if fmt not in ("text", "json"):
             raise ClusterError(f"unknown metrics format {fmt!r}")
-        return render_merged(*registries)
+        snapshot = self.loop.run(
+            self.gateway.metrics_snapshot(refresh=refresh), timeout=60.0)
+        return snapshot if fmt == "json" else render_prometheus(snapshot)
 
     def trace(self, *, last: Optional[int] = None,
               aggregate: bool = True) -> Dict[str, object]:

@@ -12,14 +12,14 @@ coalescing, tiered cache) and exposes it on a localhost TCP port:
     the misses.  Backpressure (``ServiceOverloadedError``) and a draining
     service map onto 503 responses the gateway knows how to retry.
 ``GET /stats``
-    The exact :class:`~repro.serve.ServiceStats` snapshot as JSON — what
-    the gateway aggregates with :meth:`~repro.serve.ServiceStats.merge`.
+    The exact :class:`~repro.serve.ServiceStats` view as JSON.
 ``GET /metrics``
-    Prometheus text exposition: the service's legacy counters projected
-    through :mod:`repro.obs.collect` at scrape time (so every number
-    equals the ``/stats`` surface exactly), merged with the worker's live
-    latency histograms when observability is on.  ``?format=json`` returns
-    the same snapshot as JSON.
+    Prometheus text exposition of the worker's metrics registry: the
+    service's and cache tiers' counters (the registry is where they live;
+    ``/stats`` is a view of the same values), plus the live latency
+    histograms when observability is on.  ``?format=json`` returns the
+    registry snapshot as JSON — what the gateway merges across shards
+    with :func:`repro.obs.metrics.merge_snapshots`.
 ``GET /trace``
     The span ring buffer as Chrome ``trace_event`` JSON (empty when
     observability is off); ``?last=N`` keeps the newest N spans.
@@ -60,8 +60,6 @@ from repro.exceptions import ModelError
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.obs import Observability
-from repro.obs.collect import (collect_service_stats, merged_snapshot,
-                               render_merged)
 from repro.serve.cache import TieredCache
 from repro.serve.service import SolveService
 from repro.study.store import ArtifactStore
@@ -139,6 +137,10 @@ class WorkerServer:
                                  max_queue=max_queue,
                                  max_workers=max_workers,
                                  fault_injector=fault_injector, obs=obs)
+        #: The registry ``/metrics`` serves: the observability registry
+        #: when on (it includes the service's), else the service's own.
+        self.metrics = self.service.metrics if obs is None else obs.registry
+        self.metrics.include(self.service.metrics)
         self.host = host
         self._requested_port = int(port)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -279,21 +281,12 @@ class WorkerServer:
             "message": f"no route {method} {path}"}).encode()
 
     def _handle_metrics(self, path: str):
-        """``GET /metrics``: legacy counters re-collected at scrape time.
-
-        The registry is rebuilt from the live ``stats()`` snapshot on
-        every scrape, so every series is numerically identical to the
-        ``/stats`` answer of the same instant by construction; the live
-        obs registry (latency histograms) is merged in when enabled.
-        """
+        """``GET /metrics``: the worker's registry, text or JSON."""
         query = parse_qs(path.partition("?")[2])
-        registries = [collect_service_stats(self.service.stats())]
-        if self._obs is not None:
-            registries.append(self._obs.registry)
         if query.get("format", [""])[-1] == "json":
-            return 200, json.dumps(merged_snapshot(*registries),
+            return 200, json.dumps(self.metrics.snapshot(),
                                    sort_keys=True).encode()
-        return (200, render_merged(*registries).encode(),
+        return (200, self.metrics.render_prometheus().encode(),
                 "text/plain; version=0.0.4; charset=utf-8")
 
     def _handle_trace(self, path: str):

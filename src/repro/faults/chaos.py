@@ -18,7 +18,9 @@ package exists to enforce:
    corrupt an answer);
 4. *exact accounting* — the cluster's merged
    :class:`~repro.serve.ServiceStats` buckets still partition its
-   requests, fault storm or not.
+   requests, fault storm or not, and every supervised respawn is
+   recorded for its node (the per-node ``respawns`` sum to the
+   supervisor's ``worker_respawns``).
 
 The outcome is a :class:`ChaosReport`: pass/fail plus everything a CI log
 wants (error histogram, faults injected, workers respawned, artifacts
@@ -76,9 +78,9 @@ class ChaosReport:
     merged: Dict[str, Any] = field(default_factory=dict)
     #: Final gateway counters.
     gateway: Dict[str, int] = field(default_factory=dict)
-    #: Metrics-registry snapshot of the final cluster stats (the same
-    #: numbers as ``merged``/``gateway``, projected through
-    #: :mod:`repro.obs.collect` — what a ``/metrics`` scrape would show).
+    #: The gateway's final ``/metrics`` snapshot: its registry (gateway,
+    #: per-node and supervisor series) merged with the shards' counters —
+    #: the same numbers as ``merged``/``gateway``.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Broken invariants (empty = the degradation contract held).
     violations: List[str] = field(default_factory=list)
@@ -253,14 +255,19 @@ def run_chaos(plan: Union[FaultPlan, str], *, steps: int = 50,
         report.warm_sweep_hits = max(0, merged.hits - before_sweep.hits)
         report.merged = merged.to_dict()
         report.gateway = dict(stats["gateway"])  # type: ignore[arg-type]
-        from repro.obs.collect import collect_cluster_stats
-        report.metrics = collect_cluster_stats(stats).snapshot()
+        report.metrics = cluster.metrics(fmt="json", refresh=False)
         supervisor = stats.get("supervisor") or {}
         report.respawns = int(supervisor.get("worker_respawns", 0))
+        node_respawns = 0
         for node_id, entry in stats["workers"].items():  # type: ignore[union-attr]
-            if entry.get("respawns", 0) and entry.get("stats"):
+            node_respawns += int(entry["respawns"])
+            if entry["respawns"] and entry.get("stats"):
                 report.respawned_worker_hits += \
                     int(entry["stats"].get("hits", 0))
+        if node_respawns != report.respawns:
+            report.violations.append(
+                f"per-node respawns sum to {node_respawns}, the supervisor "
+                f"recorded {report.respawns}")
         health = cluster.health()
         for entry in health["workers"].values():  # type: ignore[union-attr]
             for kind, count in ((entry.get("health") or {}).get(

@@ -18,9 +18,10 @@ cost when off**:
 :class:`Observability` bundles one registry + one tracer for a process
 (a worker, the gateway); components accept it as an optional ``obs``
 argument whose absence costs exactly one ``is None`` check on the hot
-path.  :mod:`repro.obs.collect` projects the platform's legacy
-``stats()`` counters onto the registry at exact numeric equality for the
-``/metrics`` endpoints.
+path.  The registry is also where the serving counters live: the
+service, its cache tiers, the gateway and the supervisor increment
+registry metrics directly (on the handle's registry when one is given,
+on a private one otherwise), and their ``stats()`` methods are views.
 """
 
 from __future__ import annotations
@@ -81,6 +82,5 @@ class Observability:
                                        buckets=DEFAULT_LATENCY_BUCKETS)
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON snapshot of the live registry (not the legacy counters —
-        endpoint handlers merge those in via :mod:`repro.obs.collect`)."""
+        """JSON snapshot of the registry."""
         return self.registry.snapshot()

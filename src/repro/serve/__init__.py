@@ -19,7 +19,8 @@ The pieces:
 * :class:`TieredCache` — write-through tier-1 in-memory LRU
   (:class:`repro.cache.LRUCache`) above the tier-2 on-disk
   :class:`repro.study.store.ArtifactStore`, with exact per-tier counters;
-* :class:`ServiceStats` — an atomic snapshot whose buckets partition the
+* :class:`ServiceStats` — an atomic view of the service's registry
+  counters (``SolveService.metrics``) whose buckets partition the
   request count exactly (``requests == tier1_hits + tier2_hits + coalesced
   + enqueued + rejected + probing``, the last transiently covering
   requests whose tier-2 disk probe is executing at snapshot time);

@@ -16,7 +16,9 @@ Semantics:
 * **Per-tier accounting**: the cache keeps its own lock-guarded counters —
   ``memory_hits + store_hits + misses == lookups`` holds exactly under
   concurrency — and additionally exposes the raw counters of both backing
-  tiers.
+  tiers.  All three live in the cache's metrics registry
+  (:attr:`TieredCache.metrics`, which includes the tiers' registries);
+  :meth:`TieredCache.stats` is a view over it.
 
 Entries are addressed by what determines the solver output: the instance
 digest, the strategy name and the canonical config JSON (the same triple the
@@ -33,6 +35,7 @@ from repro.api.registry import REGISTRY
 from repro.api.report import SolveReport
 from repro.cache import LRUCache
 from repro.exceptions import ModelError
+from repro.obs.metrics import MetricsRegistry, register_series
 from repro.study.store import ArtifactStore, artifact_key, storable_strategy
 
 __all__ = ["TieredCache", "TIER_MEMORY", "TIER_STORE"]
@@ -40,6 +43,23 @@ __all__ = ["TieredCache", "TIER_MEMORY", "TIER_STORE"]
 #: Tier labels returned by :meth:`TieredCache.get`.
 TIER_MEMORY = "memory"
 TIER_STORE = "store"
+
+#: The cache's own series: ``(stats() key, metric name, kind, help,
+#: labels)``; the tiers declare theirs next to their classes.
+SERIES = (
+    ("lookups", "repro_tiered_cache_lookups_total", "counter",
+     "Tiered-cache lookups (memory probes + store probes that settled)", {}),
+    ("memory_hits", "repro_tiered_cache_hits_total", "counter",
+     "Tiered-cache hits, by serving tier", {"tier": TIER_MEMORY}),
+    ("store_hits", "repro_tiered_cache_hits_total", "counter",
+     "Tiered-cache hits, by serving tier", {"tier": TIER_STORE}),
+    ("misses", "repro_tiered_cache_misses_total", "counter",
+     "Tiered-cache lookups that missed every tier", {}),
+    ("puts", "repro_tiered_cache_puts_total", "counter",
+     "Write-through puts into the tiered cache", {}),
+    ("store_errors", "repro_tiered_cache_store_errors_total", "counter",
+     "Store-tier probes that raised and were treated as misses", {}),
+)
 
 
 class TieredCache:
@@ -73,9 +93,11 @@ class TieredCache:
         self.store = store
         self.shared_store = bool(shared_store)
         self._lock = threading.Lock()
-        self._counters: Dict[str, int] = {
-            "lookups": 0, "memory_hits": 0, "store_hits": 0, "misses": 0,
-            "puts": 0, "store_errors": 0}
+        self.metrics = MetricsRegistry()
+        self._m = register_series(self.metrics, SERIES, self._lock)
+        self.metrics.include(self.memory.metrics)
+        if store is not None:
+            self.metrics.include(store.metrics)
 
     @staticmethod
     def memory_key(digest: str, strategy: str,
@@ -149,7 +171,7 @@ class TieredCache:
                 # leak out of a lookup): treat it as a miss, count it, and
                 # let the write-through replace the bad file.
                 with self._lock:
-                    self._counters["store_errors"] += 1
+                    self._m["store_errors"].value += 1
                 stored = None
             if stored is not None:
                 self.memory.put(self.memory_key(digest, strategy, config),
@@ -175,10 +197,10 @@ class TieredCache:
             else:
                 self.store.put(key, report)
         with self._lock:
-            self._counters["puts"] += 1
+            self._m["puts"].value += 1
 
     def _count(self, outcome: str) -> None:
-        # Monotonicity audit: every mutation of self._counters happens
+        # Monotonicity audit: every mutation of the counters happens
         # inside self._lock, and ``lookups`` moves in the same critical
         # section as its outcome bucket — so each counter is monotone
         # non-decreasing under any interleaving and a stats() reader can
@@ -186,14 +208,15 @@ class TieredCache:
         # it).  The only counter writes outside this helper (put's
         # ``puts`` and get_store's ``store_errors``) take the same lock.
         with self._lock:
-            self._counters["lookups"] += 1
-            self._counters[outcome] += 1
+            self._m["lookups"].value += 1
+            self._m[outcome].value += 1
 
     # ------------------------------------------------------------------ #
     # Counters
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Atomic tier-level counters plus the raw backing-tier stats.
+        """Atomic tier-level counters plus the raw backing-tier stats (a
+        view over :attr:`metrics`).
 
         ``memory_hits + store_hits + misses == lookups`` always holds for
         the top-level counters of one :class:`TieredCache` handle.  (The
@@ -203,7 +226,7 @@ class TieredCache:
         behind by in-flight operations.)
         """
         with self._lock:
-            top = dict(self._counters)
+            top = {key: metric.value for key, metric in self._m.items()}
         return {
             **top,
             "memory": self.memory.stats(),
@@ -225,8 +248,8 @@ class TieredCache:
         per-tier invariants hold before and after.
         """
         with self._lock:
-            for key in self._counters:
-                self._counters[key] = 0
+            for metric in self._m.values():
+                metric.value = 0
         self.memory.reset_stats()
         if self.store is not None:
             self.store.reset_stats()

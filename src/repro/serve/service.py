@@ -28,7 +28,8 @@ path; this module turns it into a *service*:
   that crashes fails only its own futures; a broken process pool is retried
   once in-process (the next batch gets a fresh pool — ``solve_many`` builds
   one per call); a dispatcher thread that dies is restarted on the next
-  submit.  All of it is counted in :class:`ServiceStats`.
+  submit.  All of it is counted in the service's metrics registry
+  (:attr:`SolveService.metrics`); :class:`ServiceStats` is the view.
 
 Every request falls in exactly one accounting bucket — tier-1 hit, tier-2
 hit, coalesced, enqueued, rejected, or (transiently, while its tier-2 probe
@@ -45,7 +46,8 @@ import time
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.api.config import SolveConfig
 from repro.api.registry import get_strategy
@@ -58,8 +60,12 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
+from repro import cache as memory_tier
+from repro.obs.metrics import MetricsRegistry, register_series, series_values
 from repro.serialization import instance_digest
-from repro.serve.cache import TIER_MEMORY, TIER_STORE, TieredCache
+from repro.serve import cache as tiered
+from repro.serve.cache import TieredCache
+from repro.study import store as store_tier
 from repro.study.store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -71,9 +77,52 @@ __all__ = ["SolveService", "ServiceStats"]
 logger = logging.getLogger(__name__)
 
 
+#: Every :class:`SolveService` counter, declared once: ``(ServiceStats
+#: field, metric name, kind, help, labels)``.  The service increments
+#: these registry metrics directly; :class:`ServiceStats` is their view.
+SERIES = (
+    ("requests", "repro_requests_total", "counter",
+     "Requests accepted by the shard's SolveService", {}),
+    ("tier1_hits", "repro_cache_hits_total", "counter",
+     "Requests served from a cache tier, by tier", {"tier": "tier1"}),
+    ("tier2_hits", "repro_cache_hits_total", "counter",
+     "Requests served from a cache tier, by tier", {"tier": "tier2"}),
+    ("coalesced", "repro_coalesced_total", "counter",
+     "Requests folded into an identical in-flight computation", {}),
+    ("enqueued", "repro_enqueued_total", "counter",
+     "Requests that missed every cache tier and entered the batch queue",
+     {}),
+    ("rejected", "repro_rejected_total", "counter",
+     "Requests refused by backpressure (queue full or service closed)", {}),
+    ("probing", "repro_probing", "gauge",
+     "Requests currently probing the store tier", {}),
+    ("batches", "repro_batches_total", "counter",
+     "Solver batches executed", {}),
+    ("batched_requests", "repro_batched_requests_total", "counter",
+     "Requests executed inside solver batches", {}),
+    ("batch_failures", "repro_batch_failures_total", "counter",
+     "Solver batches that raised", {}),
+    ("cache_put_failures", "repro_cache_put_failures_total", "counter",
+     "Write-through cache puts that raised", {}),
+    ("pool_restarts", "repro_pool_restarts_total", "counter",
+     "Process-pool restarts after a broken pool", {}),
+    ("worker_restarts", "repro_worker_restarts_total", "counter",
+     "Dispatch worker thread restarts", {}),
+    ("timeouts", "repro_timeouts_total", "counter",
+     "Requests failed because their deadline expired before execution", {}),
+    ("shutdown_timeouts", "repro_shutdown_timeouts_total", "counter",
+     "Requests failed by shutdown before execution", {}),
+    ("queue_peak", "repro_queue_peak", "gauge",
+     "High-water mark of the batch queue", {}),
+    ("pending", "repro_pending", "gauge",
+     "Requests currently queued or executing", {}),
+)
+
+
 @dataclass(frozen=True)
 class ServiceStats:
-    """Atomic snapshot of one :class:`SolveService`'s counters.
+    """Atomic view of one :class:`SolveService`'s counters (or of a
+    registry snapshot, see :meth:`from_snapshot`).
 
     ``requests`` partitions exactly into ``tier1_hits + tier2_hits +
     coalesced + enqueued + rejected + probing`` (:attr:`consistent`);
@@ -124,12 +173,6 @@ class ServiceStats:
     queue_peak: int = 0
     #: Requests submitted but not yet resolved at snapshot time.
     pending: int = 0
-    #: Side counters this build does not recognise, carried through
-    #: :meth:`from_dict`/:meth:`merge` additively.  A gateway aggregating
-    #: snapshots from newer (or older) workers must not silently drop
-    #: their extra accounting — it rides here instead, keyed by the
-    #: foreign counter name.
-    extra: Dict[str, float] = field(default_factory=dict)
     #: Tiered-cache counters (top level plus per-tier backends).
     cache: Dict[str, Any] = field(default_factory=dict)
 
@@ -151,92 +194,24 @@ class ServiceStats:
                                  + self.rejected + self.probing)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dictionary rendering (JSON-compatible).
-
-        ``extra`` is omitted while empty, so a build that never saw a
-        foreign counter emits the exact wire shape it always has.
-        """
+        """Plain-dictionary rendering (JSON-compatible)."""
         data = asdict(self)
-        if not data["extra"]:
-            del data["extra"]
         data["hits"] = self.hits
         data["consistent"] = self.consistent
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServiceStats":
-        """Rebuild a snapshot from :meth:`to_dict` output.
-
-        The derived fields (``hits``, ``consistent``) are recomputed, not
-        trusted.  Unknown **numeric** keys are preserved in :attr:`extra`
-        instead of being dropped: snapshots ship across library versions
-        (a worker and a gateway need not run identical builds), and a
-        foreign side counter must survive aggregation rather than vanish
-        from the merged view.  Unknown non-numeric keys are still ignored
-        (there is no meaningful way to aggregate them).
-        """
-        known = {f.name for f in _STATS_FIELDS}
-        fields = {key: value for key, value in data.items() if key in known}
-        extra = dict(fields.pop("extra", None) or {})
-        for key, value in data.items():
-            if key in known or key in ("hits", "consistent"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            extra[key] = extra.get(key, 0) + value
-        return cls(extra=extra, **fields)
-
-    def merge(self, *others: "ServiceStats") -> "ServiceStats":
-        """Aggregate snapshots from several services into one.
-
-        Additive counters sum — so the bucket partition ``requests ==
-        tier1_hits + tier2_hits + coalesced + enqueued + rejected +
-        probing`` survives aggregation exactly (each side satisfies it, so
-        the sum does).  ``queue_peak`` takes the max (it is a high-water
-        mark, not a flow), ``pending`` sums (in-flight work is additive),
-        and the nested ``cache`` counters merge recursively: numeric
-        leaves add, dicts recurse, mismatched shapes drop to ``None``.
-        ``extra`` (foreign side counters from mixed-version snapshots)
-        merges additively by key — a counter only one side carries keeps
-        its value.  This is what the cluster gateway's aggregated
-        ``/stats`` is built from.
-        """
-        merged: Dict[str, Any] = {
-            f.name: getattr(self, f.name) for f in _STATS_FIELDS}
-        merged["extra"] = dict(merged["extra"])
-        for other in others:
-            for f in _STATS_FIELDS:
-                if f.name == "cache":
-                    merged["cache"] = _merge_cache(merged["cache"],
-                                                   other.cache)
-                elif f.name == "extra":
-                    for key, value in other.extra.items():
-                        merged["extra"][key] = \
-                            merged["extra"].get(key, 0) + value
-                elif f.name == "queue_peak":
-                    merged["queue_peak"] = max(merged["queue_peak"],
-                                               other.queue_peak)
-                else:
-                    merged[f.name] += getattr(other, f.name)
-        return ServiceStats(**merged)
-
-
-#: Declared fields of :class:`ServiceStats` (for from_dict/merge).
-_STATS_FIELDS = tuple(ServiceStats.__dataclass_fields__.values())
-
-
-def _merge_cache(left: Any, right: Any) -> Any:
-    """Recursively merge two cache-counter trees (sum / recurse / drop)."""
-    if isinstance(left, dict) and isinstance(right, dict):
-        return {key: _merge_cache(left.get(key), right.get(key))
-                for key in {*left, *right}}
-    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
-        return left + right
-    if right is None:
-        return left
-    if left is None:
-        return right
-    return None
+    def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "ServiceStats":
+        """The view of a registry snapshot: one worker's ``/metrics``
+        JSON, or the cluster gateway's merge of several.  ``cache`` has
+        the shape of :meth:`TieredCache.stats` (``store`` is ``None``
+        when the snapshot has no store series)."""
+        has_store = store_tier.SERIES[0][1] in snapshot
+        cache = {**series_values(snapshot, tiered.SERIES),
+                 "memory": series_values(snapshot, memory_tier.SERIES),
+                 "store": series_values(snapshot, store_tier.SERIES)
+                 if has_store else None}
+        return cls(cache=cache, **series_values(snapshot, SERIES))
 
 
 def _settle(future: Future, *, result=None, exception=None) -> None:
@@ -310,14 +285,15 @@ class SolveService:
         solver batch (``solver_delay`` / ``solver_crash``).  ``None`` (the
         default) costs one attribute check per batch.
     obs:
-        Optional :class:`repro.obs.Observability` handle.  When set, each
-        executed batch records ``service.batch`` spans (one per traced
-        request, carrying the trace id the cluster worker extracted from
-        the wire) plus ``kernel.*`` spans from the solver's profiling
-        phases, and a ``repro_service_batch_seconds`` latency histogram.
-        ``None`` (the default) follows the same zero-cost contract as
-        ``fault_injector``: one ``is None`` check per batch, nothing on
-        the submit path.
+        Optional :class:`repro.obs.Observability` handle.  When set, the
+        service's counters live on its registry, and each executed batch
+        records ``service.batch`` spans (one per traced request, carrying
+        the trace id the cluster worker extracted from the wire) plus
+        ``kernel.*`` spans from the solver's profiling phases, and a
+        ``repro_service_batch_seconds`` latency histogram.  ``None`` (the
+        default) keeps the counters on a private registry and follows the
+        same zero-cost contract as ``fault_injector``: one ``is None``
+        check per batch, nothing extra on the submit path.
     """
 
     def __init__(self, *, store: Optional[ArtifactStore] = None,
@@ -362,13 +338,12 @@ class SolveService:
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._inflight: Dict[Tuple[str, str, str], List[Future]] = {}
-        self._counters: Dict[str, int] = {
-            "requests": 0, "tier1_hits": 0, "tier2_hits": 0, "coalesced": 0,
-            "enqueued": 0, "rejected": 0, "probing": 0, "batches": 0,
-            "batched_requests": 0, "batch_failures": 0,
-            "cache_put_failures": 0, "pool_restarts": 0,
-            "worker_restarts": 0, "timeouts": 0, "shutdown_timeouts": 0,
-            "queue_peak": 0, "pending": 0}
+        #: The registry the service's counters live in (``obs.registry``
+        #: when observability is on, so one ``/metrics`` serves both); it
+        #: includes the tiered cache's registry.
+        self.metrics = MetricsRegistry() if obs is None else obs.registry
+        self._m = register_series(self.metrics, SERIES, self._lock)
+        self.metrics.include(self.cache.metrics)
         self._faults = fault_injector
         self._obs = obs
         self._thread: Optional[threading.Thread] = None
@@ -390,7 +365,7 @@ class SolveService:
         if self._thread is not None and self._thread.is_alive():
             return
         if restart and self._started:
-            self._counters["worker_restarts"] += 1
+            self._m["worker_restarts"].value += 1
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-serve-dispatcher",
             daemon=True)
@@ -411,7 +386,7 @@ class SolveService:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._idle:
-            while self._counters["pending"] > 0:
+            while self._m["pending"].value > 0:
                 remaining = None if deadline is None \
                     else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
@@ -438,7 +413,7 @@ class SolveService:
                 # The thread is a daemon, so the process can still exit —
                 # but the condition must be visible, not silent.
                 with self._lock:
-                    self._counters["shutdown_timeouts"] += 1
+                    self._m["shutdown_timeouts"].value += 1
                 logger.warning(
                     "dispatcher thread still alive after shutdown join "
                     "timeout (5.0s); a solver batch is likely hung")
@@ -511,9 +486,9 @@ class SolveService:
             with self._lock:
                 if self._stop.is_set():
                     raise ServiceClosedError("service has been shut down")
-                self._counters["requests"] += 1
-                self._counters["rejected"] += 1
-                self._counters["timeouts"] += 1
+                self._m["requests"].value += 1
+                self._m["rejected"].value += 1
+                self._m["timeouts"].value += 1
             raise ServiceTimeoutError(
                 "deadline expired before the request was accepted",
                 elapsed=time.monotonic() - deadline)
@@ -536,15 +511,15 @@ class SolveService:
             if self._stop.is_set():
                 raise ServiceClosedError("service has been shut down")
             self._spawn_dispatcher_locked(restart=True)
-            self._counters["requests"] += 1
+            self._m["requests"].value += 1
             if key is not None:
                 hit_report = self.cache.get_memory(digest, name, config)
                 if hit_report is not None:
-                    self._counters["tier1_hits"] += 1
+                    self._m["tier1_hits"].value += 1
                 elif key in self._inflight:
                     self._inflight[key].append(future)
-                    self._counters["coalesced"] += 1
-                    self._counters["pending"] += 1
+                    self._m["coalesced"].value += 1
+                    self._m["pending"].value += 1
                     return future
                 else:
                     # Claim the key before releasing the lock: concurrent
@@ -553,17 +528,17 @@ class SolveService:
                     # "probing" bucket until the tier-2 probe decides its
                     # fate (tier-2 hit, enqueued, or rejected).
                     self._inflight[key] = [future]
-                    self._counters["probing"] += 1
-                    self._counters["pending"] += 1
+                    self._m["probing"].value += 1
+                    self._m["pending"].value += 1
             else:
                 try:
                     self._enqueue_locked(
                         _Request(None, None, instance, name, config, future,
                                  deadline, trace_id))
                 except ServiceOverloadedError:
-                    self._counters["rejected"] += 1
+                    self._m["rejected"].value += 1
                     raise
-                self._counters["pending"] += 1
+                self._m["pending"].value += 1
                 return future
         if hit_report is not None:
             _settle(future, result=hit_report)
@@ -577,8 +552,8 @@ class SolveService:
             raise
         if stored is not None:
             with self._lock:
-                self._counters["probing"] -= 1
-                self._counters["tier2_hits"] += 1
+                self._m["probing"].value -= 1
+                self._m["tier2_hits"].value += 1
                 waiters = self._inflight.pop(key, [])
             for waiter in waiters:
                 _settle(waiter, result=stored)
@@ -588,12 +563,12 @@ class SolveService:
                            deadline, trace_id)
         overload: Optional[ServiceOverloadedError] = None
         with self._lock:
-            self._counters["probing"] -= 1
+            self._m["probing"].value -= 1
             try:
                 self._enqueue_locked(request)
             except ServiceOverloadedError as exc:
                 overload = exc
-                self._counters["rejected"] += 1
+                self._m["rejected"].value += 1
                 rejected_waiters = self._inflight.pop(key, [])
         if overload is not None:
             for waiter in rejected_waiters:
@@ -617,9 +592,9 @@ class SolveService:
                 f"request queue full ({depth} pending, bound "
                 f"{self.max_queue}); retry later or raise max_queue",
                 queue_depth=depth) from None
-        self._counters["enqueued"] += 1
-        self._counters["queue_peak"] = max(
-            self._counters["queue_peak"], self._queue.qsize())
+        self._m["enqueued"].value += 1
+        peak = self._m["queue_peak"]
+        peak.value = max(peak.value, self._queue.qsize())
 
     def _release_pending(self, count: int) -> None:
         """Drop ``count`` settled requests from ``pending`` and wake drain.
@@ -631,8 +606,8 @@ class SolveService:
         if count <= 0:
             return
         with self._lock:
-            self._counters["pending"] = max(
-                0, self._counters["pending"] - count)
+            pending = self._m["pending"]
+            pending.value = max(0, pending.value - count)
             self._idle.notify_all()
 
     def _abandon_claim(self, key, future: Future,
@@ -644,8 +619,8 @@ class SolveService:
         failed with the same exception.
         """
         with self._lock:
-            self._counters["probing"] -= 1
-            self._counters["rejected"] += 1
+            self._m["probing"].value -= 1
+            self._m["rejected"].value += 1
             waiters = self._inflight.pop(key, [])
         for waiter in waiters:
             if waiter is not future:
@@ -695,7 +670,7 @@ class SolveService:
                 # execution failures are handled per group below — this is
                 # strictly a belt for unexpected internal errors.
                 with self._lock:
-                    self._counters["worker_restarts"] += 1
+                    self._m["worker_restarts"].value += 1
 
     def _execute_batch(self, batch: List[_Request]) -> None:
         """Group a micro-batch by ``(strategy, config)`` and execute it.
@@ -743,7 +718,7 @@ class SolveService:
         request's deadline fate (documented in :meth:`submit`).
         """
         with self._lock:
-            self._counters["timeouts"] += len(requests)
+            self._m["timeouts"].value += len(requests)
             settled: List[Tuple[Future, BaseException]] = []
             for request in requests:
                 waiters = [request.future] if request.key is None else \
@@ -760,7 +735,7 @@ class SolveService:
                        exc: BaseException) -> None:
         """Fail a set of requests (and their coalesced waiters)."""
         with self._lock:
-            self._counters["batch_failures"] += 1
+            self._m["batch_failures"].value += 1
             settled: List[Future] = []
             for request in requests:
                 waiters = [request.future] if request.key is None else \
@@ -787,7 +762,7 @@ class SolveService:
                 # solve_many builds a fresh pool per call, so the *next*
                 # batch is unaffected; this one is retried in-process.
                 with self._lock:
-                    self._counters["pool_restarts"] += 1
+                    self._m["pool_restarts"].value += 1
                 return self._solver(instances, strategy, config=config,
                                     max_workers=0)
 
@@ -836,9 +811,9 @@ class SolveService:
                 except Exception:  # noqa: BLE001 - degrade, keep serving
                     put_failures += 1
         with self._lock:
-            self._counters["batches"] += 1
-            self._counters["batched_requests"] += len(requests)
-            self._counters["cache_put_failures"] += put_failures
+            self._m["batches"].value += 1
+            self._m["batched_requests"].value += len(requests)
+            self._m["cache_put_failures"].value += put_failures
             resolved: List[Tuple[Future, SolveReport]] = []
             for request, report in zip(requests, reports):
                 waiters = [request.future] if request.key is None else \
@@ -884,7 +859,7 @@ class SolveService:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> ServiceStats:
-        """An atomic :class:`ServiceStats` snapshot."""
+        """An atomic :class:`ServiceStats` view over :attr:`metrics`."""
         with self._lock:
-            counters = dict(self._counters)
+            counters = {key: metric.value for key, metric in self._m.items()}
         return ServiceStats(cache=self.cache.stats(), **counters)

@@ -39,11 +39,17 @@ from repro.api.config import SolveConfig
 from repro.api.registry import REGISTRY
 from repro.api.report import SolveReport
 from repro.exceptions import ModelError
+from repro.obs.metrics import MetricsRegistry, register_series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.faults.injector import FaultInjector
 
 __all__ = ["ArtifactStore", "artifact_key", "storable_strategy"]
+
+#: The store's series: ``(stats() key, metric name, kind, help, labels)``.
+SERIES = tuple((key, f"repro_store_{key}_total", "counter", "", {})
+               for key in ("hits", "misses", "writes", "skipped_writes",
+                           "corrupt"))
 
 
 def storable_strategy(strategy: str) -> bool:
@@ -89,9 +95,10 @@ def _payload_checksum(report_json: str) -> str:
 class ArtifactStore:
     """On-disk key -> :class:`~repro.api.report.SolveReport` store.
 
-    Tracks cumulative hit/miss counters (``stats()``) so callers — the study
-    runner, the CI smoke check — can assert resume behaviour: a second run
-    of the same study must be 100% hits.
+    Tracks cumulative hit/miss counters in its own metrics registry
+    (:attr:`metrics`, ``repro_store_*``; ``stats()`` is a view) so callers
+    — the study runner, the CI smoke check — can assert resume behaviour:
+    a second run of the same study must be 100% hits.
 
     The store doubles as the tier-2 backend of the serving stack
     (:class:`repro.serve.TieredCache`): writes are atomic (temp file +
@@ -113,8 +120,8 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._faults = fault_injector
         self._stats_lock = threading.Lock()
-        self._stats: Dict[str, int] = {"hits": 0, "misses": 0, "writes": 0,
-                                       "skipped_writes": 0, "corrupt": 0}
+        self.metrics = MetricsRegistry()
+        self._m = register_series(self.metrics, SERIES, self._stats_lock)
 
     def _count(self, counter: str) -> None:
         # Monotonicity audit: this is the only place the counters mutate
@@ -122,7 +129,7 @@ class ArtifactStore:
         # under the same lock.  Counters are therefore monotone
         # non-decreasing between resets, under any thread interleaving.
         with self._stats_lock:
-            self._stats[counter] += 1
+            self._m[counter].value += 1
 
     # ------------------------------------------------------------------ #
     # Addressing
@@ -306,13 +313,13 @@ class ArtifactStore:
         counted as a miss, so hit/miss accounting still balances).
         """
         with self._stats_lock:
-            return dict(self._stats)
+            return {key: metric.value for key, metric in self._m.items()}
 
     def reset_stats(self) -> None:
         """Zero the hit/miss/write counters (the artifacts stay)."""
         with self._stats_lock:
-            for key in self._stats:
-                self._stats[key] = 0
+            for metric in self._m.values():
+                metric.value = 0
 
 
 def _is_json(text: str) -> bool:

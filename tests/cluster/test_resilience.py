@@ -85,7 +85,7 @@ class TestSupervisedRespawn:
                            supervise=True) as cluster:
             cluster.solve_many(stream, "optop", config=CONFIG)
             # Refresh so the doomed incarnation's snapshot is on record —
-            # the respawn archives it into ``retired_stats``.
+            # the respawn archives it into ``retired_snapshots``.
             cluster.stats()
             dead = cluster.kill_worker(0)
 

@@ -1,4 +1,5 @@
-"""ServiceStats wire round-trips and the cluster JSON/HTTP protocol."""
+"""The ServiceStats view, gateway respawn accounting and the cluster
+JSON/HTTP protocol."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import pytest
 
 from repro.api.config import SolveConfig
-from repro.cluster import protocol
+from repro.cluster import ClusterGateway, protocol
 from repro.exceptions import (
     ClusterError,
     ModelError,
@@ -16,105 +17,45 @@ from repro.exceptions import (
     ServiceOverloadedError,
 )
 from repro.instances import pigou
-from repro.serve.service import ServiceStats
+from repro.serve.service import ServiceStats, SolveService
+
+QUICK = SolveConfig(compute_nash=False)
 
 
-class TestServiceStatsRoundTrip:
-    def test_to_dict_from_dict_round_trip(self):
-        stats = ServiceStats(requests=10, tier1_hits=4, tier2_hits=2,
-                             coalesced=1, enqueued=3, batches=2,
-                             queue_peak=5, pending=0,
-                             cache={"memory": {"hits": 4}})
-        rebuilt = ServiceStats.from_dict(stats.to_dict())
-        assert rebuilt == stats
-        assert rebuilt.consistent
+class TestServiceStatsView:
+    def test_view_of_the_registry_snapshot_equals_stats(self):
+        with SolveService(max_wait_ms=1.0) as service:
+            service.solve(pigou(), "optop", config=QUICK, timeout=30)
+            service.solve(pigou(), "optop", config=QUICK, timeout=30)
+            stats = service.stats()
+            view = ServiceStats.from_snapshot(service.metrics.snapshot())
+        assert view == stats
+        assert stats.requests == 2 and stats.tier1_hits == 1
+        assert view.consistent
 
-    def test_round_trip_survives_json(self):
+    def test_to_dict_is_json_and_carries_derived_fields(self):
         stats = ServiceStats(requests=7, tier1_hits=7, queue_peak=3)
-        payload = json.dumps(stats.to_dict(), sort_keys=True)
-        assert ServiceStats.from_dict(json.loads(payload)) == stats
+        data = json.loads(json.dumps(stats.to_dict(), sort_keys=True))
+        assert data["hits"] == 7 and data["consistent"] is True
+        assert "extra" not in data
 
-    def test_from_dict_ignores_derived_and_unknown_keys(self):
-        data = ServiceStats(requests=3, enqueued=3).to_dict()
-        data["hits"] = 999            # derived: recomputed, not trusted
-        data["consistent"] = False    # derived: recomputed, not trusted
-        data["added_in_a_future_version"] = {"x": 1}
-        rebuilt = ServiceStats.from_dict(data)
-        assert rebuilt.hits == 0
-        assert rebuilt.consistent
-
-    def test_merge_sums_counters_and_preserves_partition(self):
-        a = ServiceStats(requests=10, tier1_hits=6, enqueued=4,
-                         batches=1, queue_peak=2,
-                         cache={"memory": {"hits": 6}})
-        b = ServiceStats(requests=5, tier2_hits=2, coalesced=1, enqueued=1,
-                         rejected=1, batches=1, queue_peak=7,
-                         cache={"memory": {"hits": 2}})
-        merged = a.merge(b)
-        assert merged.requests == 15
-        assert merged.tier1_hits == 6
-        assert merged.tier2_hits == 2
-        assert merged.enqueued == 5
-        assert merged.queue_peak == 7          # high-water mark: max
-        assert merged.cache == {"memory": {"hits": 8}}
-        assert a.consistent and b.consistent and merged.consistent
-
-    def test_merge_of_many_is_order_independent(self):
-        parts = [ServiceStats(requests=i, enqueued=i, queue_peak=i)
-                 for i in range(1, 5)]
-        forward = parts[0].merge(*parts[1:])
-        backward = parts[-1].merge(*parts[-2::-1])
-        assert forward == backward
-
-    def test_merge_keeps_inconsistency_visible(self):
-        broken = ServiceStats(requests=5, tier1_hits=1)  # 4 unaccounted
-        merged = ServiceStats(requests=2, tier1_hits=2).merge(broken)
-        assert not merged.consistent
+    def test_inconsistency_stays_visible(self):
+        assert not ServiceStats(requests=5, tier1_hits=1).consistent
 
 
-class TestMixedVersionMerge:
-    """Snapshots cross library versions: foreign counters must survive.
-
-    Regression coverage for the gateway silently dropping side counters
-    it did not recognise when aggregating snapshots from newer (or older)
-    workers."""
-
-    def test_from_dict_preserves_unknown_numeric_keys(self):
-        data = ServiceStats(requests=3, enqueued=3).to_dict()
-        data["speculative_solves"] = 4       # a future build's counter
-        data["gpu_batches"] = 1.5
-        data["build_label"] = "v9"           # non-numeric: not aggregable
-        data["experimental"] = True          # bools are not counters
-        rebuilt = ServiceStats.from_dict(data)
-        assert rebuilt.extra == {"speculative_solves": 4, "gpu_batches": 1.5}
-
-    def test_extra_counters_merge_additively(self):
-        new_worker = ServiceStats.from_dict({
-            "requests": 2, "enqueued": 2, "speculative_solves": 4})
-        other_new = ServiceStats.from_dict({
-            "requests": 1, "enqueued": 1, "speculative_solves": 3})
-        old_worker = ServiceStats(requests=5, tier1_hits=5)
-        merged = old_worker.merge(new_worker, other_new)
-        assert merged.requests == 8
-        assert merged.extra == {"speculative_solves": 7}
-        assert merged.consistent
-
-    def test_one_sided_extra_counter_keeps_its_value(self):
-        merged = ServiceStats(requests=1, enqueued=1).merge(
-            ServiceStats(requests=1, enqueued=1, extra={"only_here": 2}))
-        assert merged.extra == {"only_here": 2}
-
-    def test_extra_round_trips_through_the_wire_shape(self):
-        stats = ServiceStats(requests=1, enqueued=1, extra={"foreign": 9})
-        payload = json.dumps(stats.to_dict(), sort_keys=True)
-        rebuilt = ServiceStats.from_dict(json.loads(payload))
-        assert rebuilt.extra == {"foreign": 9}
-        assert rebuilt == stats
-
-    def test_empty_extra_is_omitted_from_the_wire_shape(self):
-        # Back-compat: a build that saw no foreign counter emits the
-        # historical dict shape exactly.
-        assert "extra" not in ServiceStats(requests=1, enqueued=1).to_dict()
+class TestGatewayRespawnAccounting:
+    def test_respawn_before_first_refresh_is_counted_for_the_node(self):
+        """A worker that dies before its first snapshot fetch still
+        counts as respawned, on the node as well as on the gateway."""
+        gateway = ClusterGateway([("127.0.0.1", 1)])
+        node = "127.0.0.1:1"
+        gateway.note_worker_respawn(node)
+        stats = asyncio.run(gateway.stats(refresh=False))
+        assert stats["gateway"]["worker_respawns"] == 1
+        assert stats["workers"][node]["respawns"] == 1
+        snapshot = asyncio.run(gateway.metrics_snapshot(refresh=False))
+        samples = snapshot["repro_worker_respawns_total"]["samples"]
+        assert samples == [{"labels": {"node": node}, "value": 1}]
 
 
 class TestOverloadedError:

@@ -31,12 +31,16 @@ class TestCounter:
         with pytest.raises(ValueError, match="monotonic"):
             Counter().inc(-1)
 
-    def test_set_exact_refuses_to_regress(self):
-        counter = Counter()
-        counter.set_exact(10)
-        counter.set_exact(10)  # idempotent re-scrape is fine
-        with pytest.raises(ValueError, match="regress"):
-            counter.set_exact(9)
+    def test_owner_lock_is_shared_by_registered_children(self):
+        registry = MetricsRegistry()
+        lock = threading.Lock()
+        counter = registry.counter("repro_owned_total", lock=lock)
+        with lock:
+            counter.value += 2  # the owner's path: no second lock
+        counter.inc()           # everyone else's path: the same lock
+        assert counter.value == 3
+        with pytest.raises(ValueError, match="owned by another"):
+            registry.counter("repro_owned_total", lock=threading.Lock())
 
     def test_concurrent_increments_are_exact(self):
         counter = Counter()

@@ -11,17 +11,20 @@ The acceptance contract of the serving layer:
 * a store-backed cold restart also needs zero solver invocations (tier 2);
 * every counter in :class:`~repro.serve.ServiceStats` stays exactly
   consistent (each request in exactly one bucket, per-tier hits+misses ==
-  lookups).
+  lookups) — on the ``stats()`` view and on the registry a worker's
+  ``/metrics`` serves.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
 from repro.api import SolveConfig, clear_cache, solve_many
 from repro.instances import random_linear_parallel
+from repro.obs.metrics import parse_prometheus
 from repro.serve import SolveService, build_workload
 from repro.study.store import ArtifactStore
 
@@ -48,6 +51,26 @@ class CountingSolver:
             self.instances += len(batch)
         return solve_many(batch, strategy, config=config,
                           max_workers=max_workers)
+
+
+def assert_exposition_partitions(service, stats):
+    """The service registry's Prometheus text partitions its requests and
+    agrees with the ``stats()`` view taken after the same threads joined."""
+    parsed = parse_prometheus(service.metrics.render_prometheus())
+
+    def sample(name, **labels):
+        return parsed[name][json.dumps(labels, sort_keys=True)]
+
+    requests = sample("repro_requests_total")
+    assert requests == stats.requests
+    assert requests == (sample("repro_cache_hits_total", tier="tier1")
+                        + sample("repro_cache_hits_total", tier="tier2")
+                        + sample("repro_coalesced_total")
+                        + sample("repro_enqueued_total")
+                        + sample("repro_rejected_total")
+                        + sample("repro_probing"))
+    assert sample("repro_tiered_cache_lookups_total") == \
+        stats.cache["lookups"]
 
 
 def _submit_stream(service, instances, schedule, *, threads=NUM_THREADS):
@@ -94,6 +117,7 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
 
         stats1 = service.stats()
         assert stats1.consistent, stats1.to_dict()
+        assert_exposition_partitions(service, stats1)
         assert stats1.requests == NUM_REQUESTS
         # The solver saw each distinct instance exactly once...
         assert solver.instances == NUM_DISTINCT
@@ -119,6 +143,7 @@ def test_five_thousand_mixed_requests_with_cache_and_coalescing(tmp_path):
             f"only {pass2_hits}/{NUM_REQUESTS} warm requests were cache "
             f"hits")
         assert stats2.consistent, stats2.to_dict()
+        assert_exposition_partitions(service, stats2)
 
         # Exact per-tier accounting of the tiered cache.
         cache_stats = stats2.cache
