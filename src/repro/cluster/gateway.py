@@ -32,8 +32,9 @@ it:
    :class:`~repro.exceptions.ServiceTimeoutError` (HTTP 504, never
    retried).
 
-The gateway's own counters (routed / retried / re-routed / failed, plus
-per-node forwarded and respawn counts) live in its metrics registry.
+The gateway's own counters (routed / retried / re-routed / failed) live
+in its metrics registry, each node's (liveness, breaker, forwarded and
+respawn counts) in its :class:`WorkerEndpoint`'s.
 ``stats()`` aggregates the shards by merging their registry snapshots
 with :func:`~repro.obs.metrics.merge_snapshots` (dead shards contribute
 their last-known snapshot, respawned shards the final snapshots of their
@@ -113,6 +114,12 @@ class WorkerEndpoint:
     supervised respawn on the same port) closes the breaker and the shard
     takes its keys back.  A worker that stays dead keeps failing its
     probes and so stays not-alive.
+
+    The node's ``repro_worker_*{node=...}`` series live in the endpoint's
+    own registry (:attr:`metrics`).  The ``alive`` gauge is the one store
+    of liveness, and setting the breaker timestamp sets the
+    ``breaker_open`` gauge, so ``/stats`` and ``/metrics`` read the same
+    state.
     """
 
     def __init__(self, host: str, port: int, *, max_inflight: int = 8) -> None:
@@ -122,6 +129,9 @@ class WorkerEndpoint:
         #: supervised respawns on the same port), so two gateways in front
         #: of the same workers shard identically.
         self.node_id = f"{host}:{port}"
+        self.metrics = MetricsRegistry()
+        self.series = register_series(self.metrics, _NODE_SERIES,
+                                      node=self.node_id)
         self.alive = True
         self.semaphore = asyncio.Semaphore(max_inflight)
         self.pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
@@ -134,15 +144,33 @@ class WorkerEndpoint:
         self.retired_snapshots: List[Dict[str, Any]] = []
         #: Consecutive remote failures since the last success.
         self.failures = 0
-        #: ``time.monotonic()`` of the breaker opening (``None`` = closed).
-        self.breaker_opened_at: Optional[float] = None
+        self.breaker_opened_at = None
         #: Last half-open probe attempt (throttles probing to one per
         #: cooldown window).
         self.last_probe_at: float = 0.0
 
     @property
+    def alive(self) -> bool:
+        """Routable (breaker closed, not shut down)."""
+        return self.series["alive"].value == 1
+
+    @alive.setter
+    def alive(self, value: bool) -> None:
+        self.series["alive"].set(1 if value else 0)
+
+    @property
+    def breaker_opened_at(self) -> Optional[float]:
+        """``time.monotonic()`` of the breaker opening (``None`` = closed)."""
+        return self._breaker_opened_at
+
+    @breaker_opened_at.setter
+    def breaker_opened_at(self, value: Optional[float]) -> None:
+        self._breaker_opened_at = value
+        self.series["breaker_open"].set(0 if value is None else 1)
+
+    @property
     def breaker_open(self) -> bool:
-        return self.breaker_opened_at is not None
+        return self._breaker_opened_at is not None
 
     async def request(self, method: str, path: str, body: bytes = b"", *,
                       headers: Optional[Dict[str, str]] = None,
@@ -231,12 +259,6 @@ class ClusterGateway:
         #: when observability is on).
         self.metrics = MetricsRegistry() if obs is None else obs.registry
         self._m = register_series(self.metrics, _GATEWAY_SERIES)
-        self._nodes = {
-            node_id: register_series(self.metrics, _NODE_SERIES,
-                                     node=node_id)
-            for node_id in self.workers}
-        for worker in self.workers.values():
-            self._sync_node_gauges(worker)
         self._server: Optional[asyncio.base_events.Server] = None
 
     # ------------------------------------------------------------------ #
@@ -253,12 +275,6 @@ class ClusterGateway:
             raise WorkerUnavailableError("no alive workers in the cluster")
         return self.workers[route(digest, alive)]
 
-    def _sync_node_gauges(self, worker: WorkerEndpoint) -> None:
-        """Publish ``worker``'s liveness and breaker state as gauges."""
-        node = self._nodes[worker.node_id]
-        node["alive"].set(1 if worker.alive else 0)
-        node["breaker_open"].set(1 if worker.breaker_open else 0)
-
     def _open_breaker(self, worker: WorkerEndpoint, reason: str) -> None:
         if worker.alive:
             worker.alive = False
@@ -266,7 +282,6 @@ class ClusterGateway:
             worker.last_probe_at = worker.breaker_opened_at
             worker.failures = 0
             worker.close()
-            self._sync_node_gauges(worker)
             self._m["breaker_opens"].inc()
             logger.warning(
                 "worker %s breaker opened (%s); re-routing its keys",
@@ -277,7 +292,6 @@ class ClusterGateway:
             worker.alive = True
             worker.breaker_opened_at = None
             worker.failures = 0
-            self._sync_node_gauges(worker)
             self._m["breaker_closes"].inc()
             logger.info("worker %s breaker closed; shard takes keys back",
                         worker.node_id)
@@ -391,7 +405,7 @@ class ClusterGateway:
                     await asyncio.sleep(delay)
                     continue
                 async with worker.semaphore:
-                    self._nodes[worker.node_id]["forwarded"].inc()
+                    worker.series["forwarded"].inc()
                     try:
                         status, payload = await worker.request(
                             "POST", "/solve", body, headers=headers)
@@ -511,7 +525,7 @@ class ClusterGateway:
             worker.retired_snapshots.append(worker.last_snapshot)
             worker.last_snapshot = None
         worker.close()
-        self._nodes[node_id]["respawns"].inc()
+        worker.series["respawns"].inc()
         self._m["worker_respawns"].inc()
         self._close_breaker(worker)
 
@@ -550,8 +564,8 @@ class ClusterGateway:
                 node_id: {
                     "alive": worker.alive,
                     "breaker_open": worker.breaker_open,
-                    "forwarded": self._nodes[node_id]["forwarded"].value,
-                    "respawns": self._nodes[node_id]["respawns"].value,
+                    "forwarded": worker.series["forwarded"].value,
+                    "respawns": worker.series["respawns"].value,
                     "stats": None if worker.last_snapshot is None
                     else ServiceStats.from_snapshot(
                         worker.last_snapshot).to_dict(),
@@ -563,16 +577,19 @@ class ClusterGateway:
     async def metrics_snapshot(self, *, refresh: bool = True
                                ) -> Dict[str, Any]:
         """The snapshot behind ``GET /metrics``: the gateway's registry
-        merged with the shards' counters and gauges.
+        and the per-node series merged with the shards' counters and
+        gauges.
 
         The shards' latency histograms stay on each worker's own
         ``/metrics``; the gateway's ``repro_gateway_request_seconds`` is
         the end-to-end view.
         """
         shards = await self.shard_snapshot(refresh=refresh)
-        return merge_snapshots(self.metrics.snapshot(), {
-            name: family for name, family in shards.items()
-            if family["type"] != "histogram"})
+        return merge_snapshots(
+            self.metrics.snapshot(),
+            *(worker.metrics.snapshot() for worker in self.workers.values()),
+            {name: family for name, family in shards.items()
+             if family["type"] != "histogram"})
 
     async def trace(self, *, last: Optional[int] = None,
                     aggregate: bool = True) -> Dict[str, object]:
@@ -638,7 +655,6 @@ class ClusterGateway:
                 pass
             worker.alive = False
             worker.close()
-            self._sync_node_gauges(worker)
 
         await asyncio.gather(*(stop_one(worker)
                                for worker in self.workers.values()

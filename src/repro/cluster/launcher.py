@@ -49,7 +49,8 @@ from repro.cluster.gateway import ClusterGateway
 from repro.exceptions import ClusterError
 from repro.faults.spec import PROCESS_FATAL_KINDS, FaultPlan
 from repro.obs import Observability
-from repro.obs.metrics import register_series, render_prometheus
+from repro.obs.metrics import (MetricsRegistry, register_series,
+                               render_prometheus)
 from repro.serve.service import ServiceStats
 
 __all__ = ["ClusterHandle", "EventLoopThread", "WorkerProcess",
@@ -59,13 +60,12 @@ logger = logging.getLogger("repro.cluster.launcher")
 
 _READY_LINE = re.compile(r"REPRO_WORKER_READY port=(\d+) pid=(\d+)")
 
-#: The supervisor's series, on the gateway's registry: ``(stats() key,
-#: metric name, kind, help, labels)``.
+#: The supervisor's series: ``(stats() key, metric name, kind, help,
+#: labels)``.  Respawns themselves are counted by each
+#: :class:`WorkerProcess` (its restart budget), not here.
 _SUPERVISOR_SERIES = (
     ("enabled", "repro_supervisor_enabled", "gauge", "", {}),
     ("max_respawns", "repro_supervisor_max_respawns", "gauge", "", {}),
-    ("worker_respawns", "repro_supervisor_respawns_total", "counter", "",
-     {}),
     ("respawn_failures", "repro_supervisor_respawn_failures_total",
      "counter", "", {}),
 )
@@ -240,9 +240,10 @@ class WorkerSupervisor(threading.Thread):
     :meth:`~repro.cluster.gateway.ClusterGateway.note_worker_respawn` so
     the dead incarnation's stats are archived and its breaker closes.
     A worker past its budget stays dead (and its keys stay failed over).
-    The supervisor's counters live on the gateway's registry, and each
-    respawn is counted in the same event-loop callback that records it
-    for the node, so the two never disagree in a ``stats()`` read.
+    The supervisor's own series live in its registry (:attr:`metrics`);
+    ``worker_respawns`` is the sum of the workers' own respawn counts,
+    which the gateway's per-node counts must match once its notifications
+    have run (the chaos harness checks this node by node).
     """
 
     def __init__(self, *, workers: List[WorkerProcess],
@@ -256,7 +257,8 @@ class WorkerSupervisor(threading.Thread):
         self.max_respawns = int(max_respawns)
         self.check_interval = float(check_interval)
         self.backoff_base = float(backoff_base)
-        self._m = register_series(gateway.metrics, _SUPERVISOR_SERIES)
+        self.metrics = MetricsRegistry()
+        self._m = register_series(self.metrics, _SUPERVISOR_SERIES)
         self._m["enabled"].set(1)
         self._m["max_respawns"].set(self.max_respawns)
         # Not "_stop": threading.Thread uses that name internally.
@@ -287,19 +289,15 @@ class WorkerSupervisor(threading.Thread):
                     "worker %s died; respawned (pid %d, respawn %d/%d)",
                     node_id, worker.process.pid, worker.respawns,
                     self.max_respawns)
-                self.loop.loop.call_soon_threadsafe(self._note_respawn,
-                                                    node_id)
-
-    def _note_respawn(self, node_id: str) -> None:
-        """Count one respawn (runs on the gateway's event loop)."""
-        self._m["worker_respawns"].inc()
-        self.gateway.note_worker_respawn(node_id)
+                self.loop.loop.call_soon_threadsafe(
+                    self.gateway.note_worker_respawn, node_id)
 
     def stats(self) -> Dict[str, object]:
         return {
             "enabled": True,
             "max_respawns": self.max_respawns,
-            "worker_respawns": self._m["worker_respawns"].value,
+            "worker_respawns": sum(worker.respawns
+                                   for worker in self.workers),
             "respawn_failures": self._m["respawn_failures"].value,
         }
 
@@ -361,19 +359,12 @@ class ClusterHandle:
     # ------------------------------------------------------------------ #
     def stats(self, *, refresh: bool = True) -> Dict[str, object]:
         """Aggregated cluster stats (see :meth:`ClusterGateway.stats`),
-        plus a ``supervisor`` section when supervision is enabled.
-
-        The supervisor section is read on the gateway's event loop right
-        after the gateway's, so its ``worker_respawns`` matches the sum of
-        the per-node ``respawns``.
-        """
-        async def read() -> Dict[str, object]:
-            stats = await self.gateway.stats(refresh=refresh)
-            stats["supervisor"] = {"enabled": False} \
-                if self.supervisor is None else self.supervisor.stats()
-            return stats
-
-        return self.loop.run(read(), timeout=60.0)
+        plus a ``supervisor`` section when supervision is enabled."""
+        stats = self.loop.run(self.gateway.stats(refresh=refresh),
+                              timeout=60.0)
+        stats["supervisor"] = {"enabled": False} if self.supervisor is None \
+            else self.supervisor.stats()
+        return stats
 
     def merged_stats(self, *, refresh: bool = True) -> ServiceStats:
         """The cross-shard :class:`~repro.serve.ServiceStats` aggregate."""

@@ -19,8 +19,8 @@ package exists to enforce:
 4. *exact accounting* — the cluster's merged
    :class:`~repro.serve.ServiceStats` buckets still partition its
    requests, fault storm or not, and every supervised respawn is
-   recorded for its node (the per-node ``respawns`` sum to the
-   supervisor's ``worker_respawns``).
+   recorded for its node (each node's gateway-side ``respawns`` equals
+   the number of times the supervisor relaunched that worker process).
 
 The outcome is a :class:`ChaosReport`: pass/fail plus everything a CI log
 wants (error histogram, faults injected, workers respawned, artifacts
@@ -40,6 +40,7 @@ from repro.api import solve
 from repro.api.config import SolveConfig
 from repro.exceptions import ServiceError
 from repro.faults.spec import FaultPlan
+from repro.obs.metrics import merge_snapshots
 
 __all__ = ["ChaosReport", "run_chaos"]
 
@@ -78,9 +79,9 @@ class ChaosReport:
     merged: Dict[str, Any] = field(default_factory=dict)
     #: Final gateway counters.
     gateway: Dict[str, int] = field(default_factory=dict)
-    #: The gateway's final ``/metrics`` snapshot: its registry (gateway,
-    #: per-node and supervisor series) merged with the shards' counters —
-    #: the same numbers as ``merged``/``gateway``.
+    #: The gateway's final ``/metrics`` snapshot (its registry and
+    #: per-node series merged with the shards' counters — the same
+    #: numbers as ``merged``/``gateway``), plus the supervisor's series.
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Broken invariants (empty = the degradation contract held).
     violations: List[str] = field(default_factory=list)
@@ -144,6 +145,31 @@ def _await_all_alive(cluster, timeout: float = 30.0) -> None:
         if all(entry["alive"] for entry in health["workers"].values()):
             return
         time.sleep(0.1)
+
+
+def _respawn_mismatches(cluster, timeout: float = 10.0):
+    """Read ``cluster.stats()`` and compare, node by node, the gateway's
+    recorded ``respawns`` with the worker process's own relaunch count.
+
+    The supervisor relaunches a worker on its own thread and notifies the
+    gateway's event loop afterwards, so for a moment the process count
+    may lead; the read is retried until the two agree or ``timeout``
+    passes.  Returns ``(stats, mismatches)``.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        stats = cluster.stats()
+        mismatches = []
+        for worker in cluster.workers:
+            node_id = f"{worker.host}:{worker.port}"
+            recorded = stats["workers"][node_id]["respawns"]
+            if recorded != worker.respawns:
+                mismatches.append(
+                    f"node {node_id} was respawned {worker.respawns} "
+                    f"times, the gateway recorded {recorded}")
+        if not mismatches or time.monotonic() >= deadline:
+            return stats, mismatches
+        time.sleep(0.05)
 
 
 def run_chaos(plan: Union[FaultPlan, str], *, steps: int = 50,
@@ -250,24 +276,21 @@ def run_chaos(plan: Union[FaultPlan, str], *, steps: int = 50,
                     f"{exc!r}")
 
         _await_all_alive(cluster)
-        stats = cluster.stats()
+        stats, mismatches = _respawn_mismatches(cluster)
+        report.violations.extend(mismatches)
         merged = cluster.merged_stats(refresh=False)
         report.warm_sweep_hits = max(0, merged.hits - before_sweep.hits)
         report.merged = merged.to_dict()
         report.gateway = dict(stats["gateway"])  # type: ignore[arg-type]
-        report.metrics = cluster.metrics(fmt="json", refresh=False)
+        report.metrics = merge_snapshots(
+            cluster.metrics(fmt="json", refresh=False),
+            cluster.supervisor.metrics.snapshot())
         supervisor = stats.get("supervisor") or {}
         report.respawns = int(supervisor.get("worker_respawns", 0))
-        node_respawns = 0
         for node_id, entry in stats["workers"].items():  # type: ignore[union-attr]
-            node_respawns += int(entry["respawns"])
-            if entry["respawns"] and entry.get("stats"):
+            if entry.get("respawns", 0) and entry.get("stats"):
                 report.respawned_worker_hits += \
                     int(entry["stats"].get("hits", 0))
-        if node_respawns != report.respawns:
-            report.violations.append(
-                f"per-node respawns sum to {node_respawns}, the supervisor "
-                f"recorded {report.respawns}")
         health = cluster.health()
         for entry in health["workers"].values():  # type: ignore[union-attr]
             for kind, count in ((entry.get("health") or {}).get(

@@ -28,15 +28,16 @@ session cache and the artifact store already key on).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.api.config import SolveConfig
 from repro.api.registry import REGISTRY
 from repro.api.report import SolveReport
-from repro.cache import LRUCache
+from repro.cache import SERIES as MEMORY_SERIES, LRUCache
 from repro.exceptions import ModelError
-from repro.obs.metrics import MetricsRegistry, register_series
-from repro.study.store import ArtifactStore, artifact_key, storable_strategy
+from repro.obs.metrics import MetricsRegistry, register_series, series_values
+from repro.study.store import (SERIES as STORE_SERIES, ArtifactStore,
+                               artifact_key, storable_strategy)
 
 __all__ = ["TieredCache", "TIER_MEMORY", "TIER_STORE"]
 
@@ -215,8 +216,8 @@ class TieredCache:
     # Counters
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """Atomic tier-level counters plus the raw backing-tier stats (a
-        view over :attr:`metrics`).
+        """Atomic tier-level counters plus the raw backing-tier stats:
+        the :meth:`view` of :attr:`metrics`.
 
         ``memory_hits + store_hits + misses == lookups`` always holds for
         the top-level counters of one :class:`TieredCache` handle.  (The
@@ -225,12 +226,19 @@ class TieredCache:
         exact while cross-section comparisons can be transiently ahead or
         behind by in-flight operations.)
         """
-        with self._lock:
-            top = {key: metric.value for key, metric in self._m.items()}
+        return self.view(self.metrics.snapshot())
+
+    @staticmethod
+    def view(snapshot: Mapping[str, Any]) -> Dict[str, object]:
+        """The :meth:`stats` shape of a registry snapshot — one cache's,
+        one worker's ``/metrics`` JSON, or a merge of several.  ``store``
+        is ``None`` when the snapshot carries no store series."""
+        has_store = any(row[1] in snapshot for row in STORE_SERIES)
         return {
-            **top,
-            "memory": self.memory.stats(),
-            "store": None if self.store is None else self.store.stats(),
+            **series_values(snapshot, SERIES),
+            "memory": series_values(snapshot, MEMORY_SERIES),
+            "store": series_values(snapshot, STORE_SERIES)
+            if has_store else None,
         }
 
     def clear_memory(self) -> int:

@@ -60,12 +60,9 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
-from repro import cache as memory_tier
 from repro.obs.metrics import MetricsRegistry, register_series, series_values
 from repro.serialization import instance_digest
-from repro.serve import cache as tiered
 from repro.serve.cache import TieredCache
-from repro.study import store as store_tier
 from repro.study.store import ArtifactStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -203,15 +200,10 @@ class ServiceStats:
     @classmethod
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "ServiceStats":
         """The view of a registry snapshot: one worker's ``/metrics``
-        JSON, or the cluster gateway's merge of several.  ``cache`` has
-        the shape of :meth:`TieredCache.stats` (``store`` is ``None``
-        when the snapshot has no store series)."""
-        has_store = store_tier.SERIES[0][1] in snapshot
-        cache = {**series_values(snapshot, tiered.SERIES),
-                 "memory": series_values(snapshot, memory_tier.SERIES),
-                 "store": series_values(snapshot, store_tier.SERIES)
-                 if has_store else None}
-        return cls(cache=cache, **series_values(snapshot, SERIES))
+        JSON, or the cluster gateway's merge of several (``cache`` is
+        :meth:`TieredCache.view`)."""
+        return cls(cache=TieredCache.view(snapshot),
+                   **series_values(snapshot, SERIES))
 
 
 def _settle(future: Future, *, result=None, exception=None) -> None:

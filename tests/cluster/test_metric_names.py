@@ -1,7 +1,8 @@
 """Name stability: the families a worker and the gateway expose on
 ``/metrics`` — name, type, label names and HELP string — are a public
 surface.  Dashboards and alerts key on them, so they are pinned here
-exactly as a two-worker cluster with observability on exposes them.
+exactly as a two-worker cluster with observability on exposes them,
+supervised or not (the supervisor's own series are not on ``/metrics``).
 
 Spawns real worker processes, so it lives in the slow lane.
 """
@@ -110,11 +111,13 @@ def families(url):
         for name, family in snapshot.items())
 
 
-def test_worker_and_gateway_expose_the_pinned_families():
+@pytest.mark.parametrize("supervise", [False, True])
+def test_worker_and_gateway_expose_the_pinned_families(supervise):
     config = SolveConfig(compute_nash=False)
     stream = [figure_4_example().with_demand(0.5 + 0.1 * i)
               for i in range(10)] + [pigou()] * 4
-    with start_cluster(n_workers=2, http=True, obs=True) as cluster:
+    with start_cluster(n_workers=2, http=True, obs=True,
+                       supervise=supervise) as cluster:
         cluster.solve_many(stream, "optop", config=config)
         gateway = families(f"http://127.0.0.1:{cluster.http_port}/metrics")
         workers = [families(f"http://{w.host}:{w.port}/metrics")

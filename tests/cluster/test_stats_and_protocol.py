@@ -58,6 +58,28 @@ class TestGatewayRespawnAccounting:
         assert samples == [{"labels": {"node": node}, "value": 1}]
 
 
+class TestGatewayNodeState:
+    def test_stats_and_metrics_show_one_breaker_state(self):
+        """``/stats`` and ``/metrics`` read the same liveness and breaker
+        state through an open / respawn-close cycle."""
+        gateway = ClusterGateway([("127.0.0.1", 1)])
+        node = "127.0.0.1:1"
+
+        def surfaces():
+            entry = asyncio.run(gateway.stats(refresh=False))["workers"][node]
+            snapshot = asyncio.run(gateway.metrics_snapshot(refresh=False))
+            gauges = tuple(
+                snapshot[f"repro_worker_{key}"]["samples"][0]["value"]
+                for key in ("alive", "breaker_open"))
+            return (entry["alive"], entry["breaker_open"]), gauges
+
+        assert surfaces() == ((True, False), (1, 0))
+        gateway._open_breaker(gateway.workers[node], "connection refused")
+        assert surfaces() == ((False, True), (0, 1))
+        gateway.note_worker_respawn(node)
+        assert surfaces() == ((True, False), (1, 0))
+
+
 class TestOverloadedError:
     def test_carries_queue_depth(self):
         exc = ServiceOverloadedError("full", queue_depth=17)
