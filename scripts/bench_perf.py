@@ -10,12 +10,13 @@ throughput of the sharded cluster as workers scale 1 -> 4).  The
 ``water_fill``, ``water_fill_many`` and ``optop`` rows report a
 ``cold_seconds`` column beside the warm one: the same call with a fresh
 ``LatencyBatch`` (a fresh instance, for ``optop``) per call, the first
-solve a never-seen instance pays.  The measurements (with speedup factors)
-go to ``BENCH_perf.json``.  CI runs this per commit and uploads the JSON as
-an artifact; the run fails (non-zero exit) when the backends deviate beyond
-tolerance, the warm mixed-family ``water_fill`` speedup at ``m >= 1000``
-drops below the 10x gate, or the cold mixed-family ``water_fill`` is slower
-than the reference at any size.
+solve a never-seen instance pays; ``optop`` rows also time the round-loop
+oracle (``oracle_seconds``).  The measurements (with speedup factors) go to
+``BENCH_perf.json``.  CI runs this per commit and uploads the JSON as an
+artifact; the run fails (non-zero exit) when the backends, or OpTop's closed
+form and its oracle, deviate beyond tolerance, the warm mixed-family
+``water_fill`` speedup at ``m >= 1000`` drops below the 10x gate, or the
+cold mixed-family ``water_fill`` is slower than the reference at any size.
 
 Usage::
 
@@ -163,34 +164,45 @@ def bench_water_fill_many(sizes, *, num_demands: int, repeats: int):
 
 
 def bench_optop(sizes, *, repeats: int):
-    """Full OpTop runs (optimum + Nash + per-round water filling).
+    """Full OpTop runs (optimum, Nash and induced water filling).
 
     ``cold_seconds`` runs OpTop on a fresh copy of the instance, so its
-    latency batch is built inside the timed call.
+    latency batch is built inside the timed call; ``oracle_seconds`` does
+    the same and then builds the round-loop oracle trace (one Nash solve
+    per round), whose beta must match the closed form's.
     """
     rows = []
     for m in sizes:
         instance = random_linear_parallel(int(m), demand=0.2 * m, seed=7 + int(m))
+
+        def fresh():
+            return ParallelLinkInstance(instance.latencies, instance.demand)
+
         vec = best_of(lambda: optop(instance), repeats=repeats)
-        cold = best_of(lambda: optop(ParallelLinkInstance(instance.latencies,
-                                                          instance.demand)),
-                       repeats=repeats)
+        cold = best_of(lambda: optop(fresh()), repeats=repeats)
+        oracle = best_of(lambda: optop(fresh()).rounds, repeats=repeats)
         ref = best_of(lambda: optop(instance, config=REFERENCE_CONFIG),
                       repeats=max(2, repeats // 2))
-        beta_v = optop(instance).beta
+        result = optop(instance)
+        beta_v = result.beta
         beta_r = optop(instance, config=REFERENCE_CONFIG).beta
+        frozen = sorted(set().union(*(r.frozen_links for r in result.rounds)))
+        beta_o = float(result.optimum.flows[frozen].sum()) / instance.demand
         rows.append({
             "benchmark": "optop",
             "family": "linear",
             "size": int(m),
             "vectorized_seconds": vec,
             "cold_seconds": cold,
+            "oracle_seconds": oracle,
             "reference_seconds": ref,
             "speedup": ref / vec,
             "beta_deviation": abs(beta_v - beta_r),
+            "oracle_beta_deviation": abs(beta_v - beta_o),
         })
-        print(f"optop m={m}: {vec*1e3:8.3f} ms (cold {cold*1e3:8.3f} ms) "
-              f"vs {ref*1e3:8.3f} ms -> {ref/vec:6.1f}x")
+        print(f"optop m={m}: {vec*1e3:8.3f} ms (cold {cold*1e3:8.3f} ms, "
+              f"oracle {oracle*1e3:8.3f} ms) vs {ref*1e3:8.3f} ms -> "
+              f"{ref/vec:6.1f}x")
     return rows
 
 
@@ -417,6 +429,7 @@ def main(argv=None) -> int:
     failures = [row for row in results
                 if row.get("max_flow_deviation", 0.0) > 1e-9
                 or row.get("beta_deviation", 0.0) > 1e-8
+                or row.get("oracle_beta_deviation", 0.0) > 1e-8
                 or row.get("warm_solver_calls", 0) > 0
                 or not row.get("stats_consistent", True)
                 or (row.get("benchmark") == "water_fill"

@@ -41,6 +41,7 @@ from repro.core.commodity_split import commodity_control_split
 from repro.core.frozen import induced_flow_on_frozen_links, is_useless_strategy
 from repro.core.linear_optimal import optimal_restricted_strategy
 from repro.core.mop import mop
+from repro.core.optop import optop
 from repro.core.thresholds import minimum_useful_control
 from repro.equilibrium.frank_wolfe import FrankWolfeOptions, frank_wolfe
 from repro.equilibrium.induced import induced_parallel_equilibrium
@@ -157,8 +158,10 @@ def _build_e2() -> ExperimentPlan:
                            report.nash_flows[i], report.optimum_flows[i],
                            report.leader_flows[i])
 
-        frozen_rounds = report.metadata["frozen_links"]
-        num_rounds = report.metadata["num_rounds"]
+        # The round-by-round walk-through is the lazily built oracle trace.
+        rounds = optop(instance, config=report.config).rounds
+        frozen_rounds = [sorted(r.frozen_links) for r in rounds]
+        num_rounds = len(rounds)
         frozen_first_round = tuple(frozen_rounds[0]) if frozen_rounds else ()
         expected_beta = 8.0 / 75.0 + 27.0 / 200.0  # o4 + o5 = 29/120
         record.add_claim(

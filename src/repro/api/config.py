@@ -68,7 +68,16 @@ class SolveConfig:
     max_iterations:
         Iteration cap of the iterative network solvers.
     underload_atol:
-        Absolute slack OpTop uses to classify a link as under-loaded.
+        OpTop's tie tolerance as a fraction of the mean optimum latency
+        ``C(O) / r``: a used link whose optimum latency exceeds
+        ``min_j l_j(o_j)`` by more than ``delta = underload_atol * C(O) / r``
+        is frozen, the rest are left to the Followers, and
+        ``C(S+T) <= (1 + underload_atol) * C(O)``.  The default 1e-8 lies
+        between numerical ties (tied links' computed latencies differ by
+        1e-16 to 1e-12 of the mean, e.g. Figure 4's ``x``, ``1.5x``, ``2x``)
+        and the smallest genuine gap on the cold-solve benchmark families
+        (5.7e-7 of the mean, ``mixed_family_soup``), so beta matches the
+        exact min-latency rule on non-degenerate instances.
     shortest_path_atol:
         Slack MOP uses to classify an edge as lying on a shortest path.
     alpha:

@@ -10,6 +10,7 @@ reconstructed losslessly with ``SolveReport.from_json(report.to_json())``.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -114,6 +115,23 @@ class SolveReport:
                            None if self.price_of_anarchy is None
                            else float(self.price_of_anarchy))
         object.__setattr__(self, "wall_time", float(self.wall_time))
+
+    def restamped(self, *, wall_time: Optional[float] = None,
+                  metadata: Optional[Dict[str, Any]] = None) -> "SolveReport":
+        """A copy with ``wall_time`` and/or ``metadata`` replaced.
+
+        The session stamps timings and cache records onto finished reports;
+        :func:`dataclasses.replace` would re-run :meth:`__post_init__` and
+        re-canonicalise the whole embedded instance each time.  The copy
+        keeps the already canonical fields and normalises only the
+        replaced ones.
+        """
+        report = copy.copy(self)
+        if wall_time is not None:
+            object.__setattr__(report, "wall_time", float(wall_time))
+        if metadata is not None:
+            object.__setattr__(report, "metadata", _jsonify(metadata))
+        return report
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -36,7 +36,6 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.api.config import SolveConfig
@@ -82,7 +81,7 @@ def _with_cache_metadata(report: SolveReport, *, hit: bool,
     metadata = dict(report.metadata)
     metadata["cache"] = {"hit": hit, "hits": stats["hits"],
                          "misses": stats["misses"]}
-    return replace(report, metadata=metadata)
+    return report.restamped(metadata=metadata)
 
 #: Default strategy: the paper's Price-of-Optimum algorithm, which itself
 #: dispatches between OpTop (parallel links) and MOP (networks).
@@ -138,10 +137,10 @@ def _execute(instance, name: str, config: SolveConfig) -> SolveReport:
         wall_time = time.perf_counter() - start
         metadata = dict(report.metadata)
         metadata["profile"] = recorder.to_dict(total_seconds=wall_time)
-        return replace(report, wall_time=wall_time, metadata=metadata)
+        return report.restamped(wall_time=wall_time, metadata=metadata)
     start = time.perf_counter()
     report = fn(instance, config)
-    return replace(report, wall_time=time.perf_counter() - start)
+    return report.restamped(wall_time=time.perf_counter() - start)
 
 
 def solve(instance, strategy: Optional[str] = None, *,
@@ -312,7 +311,7 @@ def solve_many(instances: Iterable[object], strategy: Optional[str] = None, *,
             if solved is not None and len(solved) == len(pending):
                 each = (time.perf_counter() - start) / len(solved)
                 for i, report in zip(pending, solved):
-                    report = replace(report, wall_time=each)
+                    report = report.restamped(wall_time=each)
                     if keys[i] is not None:
                         report = _with_cache_metadata(report, hit=False,
                                                       cache=result_cache)

@@ -149,9 +149,13 @@ def _mop_report(name: str, instance, config: SolveConfig, *,
 def solve_optop(instance, config: SolveConfig) -> SolveReport:
     """Algorithm OpTop (Corollary 2.2): the exact Price of Optimum.
 
-    On parallel links runs the freezing iteration of the paper; on network
+    On parallel links freezes the used links above the minimum optimum
+    latency (the closed form of the paper's freezing iteration); on network
     instances delegates to algorithm MOP (the paper's own generalisation),
-    matching the dispatch of :func:`repro.price_of_optimum`.
+    matching the dispatch of :func:`repro.price_of_optimum`.  The metadata
+    records why this beta: the frozen links, the latency tie tolerance
+    ``tie_tol`` that decided them and ``tie_margin``, the smallest excess
+    ``l_i(o_i) - min l(o)`` among them.
     """
     kind = resolve_instance_kind(instance)
     if kind == PARALLEL:
@@ -159,8 +163,9 @@ def solve_optop(instance, config: SolveConfig) -> SolveReport:
         metadata = {
             "algorithm": "optop",
             "backend": "parallel",
-            "num_rounds": result.num_rounds,
-            "frozen_links": [sorted(r.frozen_links) for r in result.rounds],
+            "frozen_links": list(result.frozen_links),
+            "tie_tol": result.tie_tol,
+            "tie_margin": result.tie_margin,
         }
         return _build_report(
             name="optop", instance=instance, kind=PARALLEL, config=config,

@@ -2,26 +2,41 @@
 
 OpTop computes the minimum portion ``beta_M`` of the total flow ``r`` a Leader
 must control to induce the optimum cost ``C(O)`` on a parallel-link instance,
-together with the optimal strategy:
+together with the optimal strategy.  The paper states it as a loop: compute
+the optimum ``O`` once, then repeatedly compute the Nash equilibrium of the
+current subsystem and freeze every *under-loaded* link (``n_i < o_i``,
+Definition 4.3) at ``s_i = o_i``, until no link is under-loaded.
 
-1. compute the optimum ``O`` of the full instance once;
-2. compute the Nash equilibrium ``N`` of the *current* subsystem and flow;
-3. every currently *under-loaded* link (``n_i < o_i``, Definition 4.3) is
-   frozen at its optimum flow (``s_i = o_i``) and removed together with that
-   flow;
-4. repeat on the simplified subsystem until no link is under-loaded;
-5. the controlled portion is ``beta_M = (r_0 - r_final) / r_0``.
+Its correctness argument (Section 7.4: Theorem 7.2, Lemma 7.5 and
+Proposition 7.1) fixes which links the loop never freezes: the used links
+whose latency at the optimum is minimal,
 
-The correctness argument (Section 7.4) combines Theorem 7.2 (a useful strategy
-must freeze some link), Theorem 7.4 / Lemma 7.5 (frozen links receive no
-induced flow, so a non-optimally frozen link would pin a sub-optimal flow) and
-Proposition 7.1 (monotonicity), which force exactly the assignments OpTop
-makes — hence the portion it returns is minimal.
+    U = {i : o_i > 0, l_i(o_i) = min_j l_j(o_j)},   beta = 1 - o(U) / r.
+
+While a link outside ``U`` is active, the Nash level of the active subsystem
+lies strictly above ``min l(o)``, so some link is under-loaded; once only
+``U`` remains, ``o`` restricted to it is a Nash flow.  :func:`optop` solves
+the optimum once, evaluates ``l(o)`` in one batched call and freezes every
+used link whose optimum latency exceeds the minimum by more than ``delta``.
+It still solves the Nash equilibrium (for ``C(N)``) and the induced
+equilibrium ``S + T`` (to verify the strategy).
+
+**Ties.**  ``beta`` jumps at ties, and the computed latencies of tied links
+differ in their last bits, so ties are decided in latency units with
+``delta = underload_atol * C(O) / r``, a fraction of the mean optimum
+latency.  The Followers' Nash level on ``U`` then lies within ``delta`` of
+``min l(o)``, hence ``C(S + T) <= C(O) + delta * r``.
+
+**The round trace.**  The loop survives as a test oracle:
+:attr:`OpTopResult.rounds` runs it on first access, with the same latency
+rule (a used link is under-loaded iff ``l_i(o_i) > L_N + delta`` for the
+round's Nash level ``L_N``); ``solve(instance, "optop")`` never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, TYPE_CHECKING, Tuple
 
 import numpy as np
@@ -68,6 +83,9 @@ class OpTopResult:
     ``beta`` is the Price of Optimum; ``strategy`` the optimal Leader strategy
     (optimum flow on every frozen link); ``outcome`` the induced Stackelberg
     equilibrium ``S + T`` (which matches the optimum up to solver tolerance).
+    ``frozen_links`` are the links the Leader controls, ``tie_tol`` is the
+    latency tolerance ``delta`` that decided them and ``tie_margin`` the
+    smallest ``l_i(o_i) - min l(o)`` among them (``None`` if there are none).
     """
 
     instance: ParallelLinkInstance
@@ -75,13 +93,62 @@ class OpTopResult:
     strategy: ParallelStackelbergStrategy
     optimum: ParallelFlowResult
     initial_nash: ParallelFlowResult
-    rounds: Tuple[OpTopRound, ...]
     outcome: StackelbergOutcome
+    frozen_links: Tuple[int, ...]
+    tie_tol: float
+    tie_margin: Optional[float]
+    #: Water-filling settings of the solve, reused by the round oracle.
+    water_fill_tol: float
+    kernel_backend: str
 
     @property
     def controlled_flow(self) -> float:
         """Flow controlled by the Leader (``beta * r``)."""
         return self.strategy.controlled_flow
+
+    @cached_property
+    def rounds(self) -> Tuple[OpTopRound, ...]:
+        """The paper's round-by-round trace, computed on first access.
+
+        One Nash solve per round on the active links with the flow they
+        carry at the optimum.  A used link is under-loaded iff
+        ``l_i(o_i) > L_N + tie_tol``.  Latency cannot show this for a
+        constant link: a used one sits at the cheapest constant's value,
+        which caps ``L_N``.  At that level it is under-loaded exactly when
+        an increasing used link is over-loaded (``l_i(o_i) < L_N -
+        tie_tol``), since both flows route the same total.
+        """
+        instance, delta = self.instance, self.tie_tol
+        opt, batch = self.optimum.flows, instance.latency_batch()
+        latency, constant = batch.values(opt), batch.is_constant
+        used = opt > 0.0
+        active = np.arange(instance.num_links)
+        remaining = instance.demand
+        rounds: List[OpTopRound] = []
+        while active.size:
+            if active.size == instance.num_links:
+                nash = self.initial_nash
+            else:
+                nash = parallel_nash(
+                    instance.sub_instance(active.tolist(), remaining),
+                    tol=self.water_fill_tol, backend=self.kernel_backend)
+            live, lat = used[active], latency[active]
+            under = live & (lat > nash.common_value + delta)
+            if (live & ~constant[active]
+                    & (lat < nash.common_value - delta)).any():
+                under |= live & constant[active]
+            frozen = active[under]
+            rounds.append(OpTopRound(
+                active_links=tuple(active.tolist()),
+                remaining_flow=remaining,
+                nash_flows=nash.flows.copy(),
+                frozen_links=tuple(frozen.tolist()),
+            ))
+            if not frozen.size:
+                break
+            remaining = max(0.0, remaining - float(opt[frozen].sum()))
+            active = active[~under]
+        return tuple(rounds)
 
     @property
     def num_rounds(self) -> int:
@@ -110,9 +177,10 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
     instance:
         The scheduling instance ``(M, r)``.
     atol:
-        Absolute tolerance used to decide whether a link is under-loaded
-        (``n_i < o_i - atol``); needed because Nash and optimum flows are
-        computed numerically.  Defaults to 1e-8.
+        Tie tolerance relative to the mean optimum latency: links whose
+        optimum latency lies within ``delta = atol * C(O) / r`` of the
+        minimum count as tied and are left to the Followers.  Defaults to
+        1e-8.
     tol:
         Tolerance passed to the water-filling solvers.  Defaults to 1e-12.
     config:
@@ -122,8 +190,8 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
     Returns
     -------
     OpTopResult
-        With the Price of Optimum ``beta``, the optimal strategy, the round
-        trace and the induced equilibrium.
+        With the Price of Optimum ``beta``, the optimal strategy and the
+        induced equilibrium; the round trace is built lazily.
     """
     if config is not None:
         atol = config.underload_atol if atol is None else atol
@@ -133,48 +201,26 @@ def optop(instance: ParallelLinkInstance, *, atol: Optional[float] = None,
     backend = "auto" if config is None else config.kernel_backend
     optimum = parallel_optimum(instance, tol=tol, backend=backend)
     initial_nash = parallel_nash(instance, tol=tol, backend=backend)
-    opt_flows = optimum.flows
 
-    demand = instance.demand
-    scale = max(1.0, demand)
-    active: List[int] = list(range(instance.num_links))
-    remaining = demand
-    strategy_flows = np.zeros(instance.num_links, dtype=float)
-    rounds: List[OpTopRound] = []
-
-    while active and remaining > -atol * scale:
-        if len(active) == instance.num_links and remaining == demand:
-            # Round 1 is the full instance at full demand — the Nash already
-            # computed above; skip the redundant solve (and sub-instance).
-            nash = initial_nash
-        else:
-            sub = instance.sub_instance(active, max(0.0, remaining))
-            nash = parallel_nash(sub, tol=tol, backend=backend)
-        under = [orig for pos, orig in enumerate(active)
-                 if nash.flows[pos] < opt_flows[orig] - atol * scale]
-        rounds.append(OpTopRound(
-            active_links=tuple(active),
-            remaining_flow=max(0.0, remaining),
-            nash_flows=nash.flows.copy(),
-            frozen_links=tuple(under),
-        ))
-        if not under:
-            break
-        for orig in under:
-            strategy_flows[orig] = opt_flows[orig]
-        remaining -= float(sum(opt_flows[orig] for orig in under))
-        active = [orig for orig in active if orig not in set(under)]
-
-    remaining = max(0.0, remaining)
-    beta = (demand - remaining) / demand if demand > 0.0 else 0.0
-    strategy = ParallelStackelbergStrategy(flows=strategy_flows, total_demand=demand)
-    outcome = strategy.induce(instance, tol=tol, backend=backend)
+    opt, demand = optimum.flows, instance.demand
+    latency = instance.latency_batch().values(opt)
+    used = opt > 0.0
+    excess = latency - latency.min(where=used, initial=np.inf)
+    delta = atol * optimum.cost / demand if demand > 0.0 else 0.0
+    frozen = used & (excess > delta)
+    strategy_flows = np.where(frozen, opt, 0.0)
+    strategy = ParallelStackelbergStrategy(flows=strategy_flows,
+                                           total_demand=demand)
     return OpTopResult(
         instance=instance,
-        beta=float(beta),
+        beta=float(strategy_flows.sum()) / demand,
         strategy=strategy,
         optimum=optimum,
         initial_nash=initial_nash,
-        rounds=tuple(rounds),
-        outcome=outcome,
+        outcome=strategy.induce(instance, tol=tol, backend=backend),
+        frozen_links=tuple(np.flatnonzero(frozen).tolist()),
+        tie_tol=delta,
+        tie_margin=float(excess[frozen].min()) if frozen.any() else None,
+        water_fill_tol=tol,
+        kernel_backend=backend,
     )

@@ -138,9 +138,6 @@ def _unwrap(lat: LatencyFunction) -> Tuple[LatencyFunction, float, float]:
 class _Members:
     """Common bookkeeping of one family bucket."""
 
-    #: Frozen per-row coefficient arrays, sliced row-wise by :meth:`take`.
-    _ARRAYS: Tuple[str, ...] = ()
-
     def __init__(self) -> None:
         self.indices: List[int] = []
 
@@ -149,20 +146,6 @@ class _Members:
 
     def index_array(self) -> np.ndarray:
         return np.asarray(self.indices, dtype=np.intp)
-
-    def take(self, rows: Sequence[int], new_indices: Sequence[int]) -> "_Members":
-        """A frozen copy restricted to ``rows``, re-indexed to ``new_indices``."""
-        clone = type(self)()
-        clone.indices = list(new_indices)
-        if clone.indices:
-            sel = np.asarray(rows, dtype=np.intp)
-            for name in self._ARRAYS:
-                setattr(clone, name, getattr(self, name)[sel])
-            clone._after_take()
-        return clone
-
-    def _after_take(self) -> None:
-        """Recompute derived attributes after :meth:`take` sliced the arrays."""
 
     def analytic_for(self, kind: str) -> bool:
         """Whether every row has a closed-form inverse for this solve kind."""
@@ -173,7 +156,6 @@ class _LinearFamily(_Members):
     """Affine rows ``l(x) = slope * x + intercept`` with ``slope > 0``."""
 
     name = "linear"
-    _ARRAYS = ("slopes", "intercepts")
 
     def __init__(self) -> None:
         super().__init__()
@@ -235,7 +217,6 @@ class _ConstantFamily(_Members):
     """Load-independent rows ``l(x) = c``."""
 
     name = "constant"
-    _ARRAYS = ("constants",)
 
     def __init__(self) -> None:
         super().__init__()
@@ -278,7 +259,6 @@ class _PowerFamily(_Members):
     """
 
     name = "power"
-    _ARRAYS = ("coeffs", "degrees", "consts", "offsets")
 
     def __init__(self) -> None:
         super().__init__()
@@ -300,9 +280,6 @@ class _PowerFamily(_Members):
         self.degrees = np.asarray(self._degrees, dtype=float)
         self.consts = np.asarray(self._consts, dtype=float)
         self.offsets = np.asarray(self._offsets, dtype=float)
-        self._after_take()
-
-    def _after_take(self) -> None:
         self.has_offsets = bool(np.any(self.offsets > 0.0))
 
     def values(self, x) -> np.ndarray:
@@ -376,7 +353,6 @@ class _MM1Family(_Members):
     """
 
     name = "mm1"
-    _ARRAYS = ("capacities", "factors")
 
     def __init__(self) -> None:
         super().__init__()
@@ -480,7 +456,6 @@ class _PolyFamily(_Members):
     """Rows ``l(x) = sum_k C[k] (x + o)^k`` with non-negative coefficients."""
 
     name = "poly"
-    _ARRAYS = ("coeffs", "offsets")
 
     def __init__(self) -> None:
         super().__init__()
@@ -499,11 +474,6 @@ class _PolyFamily(_Members):
             coeffs[i, :len(row)] = row
         self.coeffs = coeffs
         self.offsets = np.asarray(self._offsets, dtype=float)
-        self._after_take()
-
-    def _after_take(self) -> None:
-        coeffs = self.coeffs
-        width = coeffs.shape[1]
         degrees = np.arange(1, width + 1, dtype=float)
         self.deriv_coeffs = coeffs[:, 1:] * degrees[:width - 1] if width > 1 \
             else np.zeros((coeffs.shape[0], 1))
@@ -609,12 +579,6 @@ class _GenericFamily(_Members):
 
     def freeze(self) -> None:
         pass
-
-    def take(self, rows: Sequence[int], new_indices: Sequence[int]) -> "_GenericFamily":
-        clone = type(self)()
-        clone.indices = list(new_indices)
-        clone.functions = [self.functions[r] for r in rows]
-        return clone
 
     def _per_link(self, x, method: str) -> np.ndarray:
         if np.isscalar(x):
@@ -919,43 +883,6 @@ class LatencyBatch:
         if profile is None:
             profile = self._profiles[kind] = _LevelProfile(self, kind)
         return profile
-
-    def subset(self, indices: Sequence[int]) -> "LatencyBatch":
-        """The batch restricted to ``indices``, by slicing the family arrays.
-
-        Equivalent to ``LatencyBatch([batch.latencies[i] for i in indices])``
-        but without re-running the per-link canonicaliser — the OpTop
-        recursion derives each round's sub-instance batch this way.  The
-        subset starts with no level profile; its first water filling sorts
-        the subset's breakpoints.
-        """
-        indices = [int(i) for i in indices]
-        if not indices:
-            raise ModelError("subset needs at least one link index")
-        positions = {}
-        for j, i in enumerate(indices):
-            if not 0 <= i < self.size:
-                raise ModelError(f"subset index {i} out of range 0..{self.size - 1}")
-            if i in positions:
-                raise ModelError("subset indices must be unique")
-            positions[i] = j
-        new = object.__new__(LatencyBatch)
-        new.latencies = tuple(self.latencies[i] for i in indices)
-        for attr in ("_linear", "_constant", "_power", "_mm1", "_poly",
-                     "_generic"):
-            fam = getattr(self, attr)
-            rows = [r for r, old in enumerate(fam.indices) if old in positions]
-            setattr(new, attr, fam.take(
-                rows, [positions[fam.indices[r]] for r in rows]))
-        families = [new._linear, new._constant, new._power, new._mm1,
-                    new._poly, new._generic]
-        new._families = [fam for fam in families if len(fam)]
-        new._index_arrays = [fam.index_array() for fam in new._families]
-        new.is_constant = self.is_constant[np.asarray(indices, dtype=np.intp)]
-        new._values_at_zero = None
-        new._domain_upper = None
-        new._profiles = {}
-        return new
 
     # ------------------------------------------------------------------ #
     # Batched calculus

@@ -27,9 +27,9 @@ class ParallelLinkInstance:
         Optional human-readable link names (defaults to ``M1 .. Mm`` as in the
         paper's figures).
 
-    The instance is immutable; the OpTop recursion produces new, smaller
-    instances via :meth:`sub_instance`, and the induced-equilibrium code
-    produces the Followers' view via :meth:`shifted`.
+    The instance is immutable; OpTop's round-loop oracle produces new,
+    smaller instances via :meth:`sub_instance`, and the induced-equilibrium
+    code produces the Followers' view via :meth:`shifted`.
     """
 
     __slots__ = ("latencies", "demand", "names", "_batch")
@@ -162,21 +162,15 @@ class ParallelLinkInstance:
                      demand: float) -> "ParallelLinkInstance":
         """The restriction of the system to ``link_indices`` with flow ``demand``.
 
-        Used by OpTop when it discards optimally frozen links and recurses on
-        the remaining subsystem.  When this instance already built its
-        :class:`LatencyBatch`, the restriction derives the sub-batch by
-        slicing the frozen family arrays (:meth:`LatencyBatch.subset`)
-        instead of re-running the canonicaliser on every recursion round.
+        Used by OpTop's round-loop oracle when it discards optimally frozen
+        links and recurses on the remaining subsystem.
         """
         indices = list(link_indices)
         if not indices:
             raise ModelError("sub_instance needs at least one link")
-        sub = ParallelLinkInstance(
+        return ParallelLinkInstance(
             [self.latencies[i] for i in indices], demand,
             names=[self.names[i] for i in indices])
-        if self._batch is not None:
-            sub._batch = self._batch.subset(indices)
-        return sub
 
     def shifted(self, strategy_flows: np.ndarray) -> "ParallelLinkInstance":
         """The Followers' view of the system under a Stackelberg pre-load.

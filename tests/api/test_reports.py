@@ -86,3 +86,25 @@ class TestReportShape:
         data["surprise"] = 1
         with pytest.raises(ModelError):
             SolveReport.from_dict(data)
+
+
+class TestRestamped:
+    def test_replaces_only_the_stamped_fields(self, pigou_instance):
+        import numpy as np
+
+        report = solve(pigou_instance, "optop", config=SolveConfig(cache=False))
+        stamped = report.restamped(wall_time=np.float64(2.5),
+                                   metadata={"n": np.int64(3), "t": (1, 2)})
+        assert stamped.wall_time == 2.5 and type(stamped.wall_time) is float
+        assert stamped.metadata == {"n": 3, "t": [1, 2]}
+        # The canonical fields are shared, not re-canonicalised.
+        assert stamped.instance is report.instance
+        assert report.wall_time != 2.5 and "n" not in report.metadata
+        assert SolveReport.from_json(stamped.to_json()) == stamped
+
+    def test_rejects_non_json_metadata(self, pigou_instance):
+        from repro.exceptions import ModelError
+
+        report = solve(pigou_instance, "optop")
+        with pytest.raises(ModelError):
+            report.restamped(metadata={"bad": object()})

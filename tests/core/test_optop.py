@@ -9,14 +9,18 @@ from repro.core import optop
 from repro.equilibrium import parallel_nash, parallel_optimum
 from repro.instances import (
     figure_4_example,
+    heavy_tail_capacity,
+    mixed_family_soup,
     mm1_server_farm,
+    near_degenerate_breakpoints,
     pigou,
     pigou_nonlinear,
     random_linear_parallel,
     random_mixed_parallel,
+    random_mm1_parallel,
     random_polynomial_parallel,
 )
-from repro.latency import LinearLatency
+from repro.latency import ConstantLatency, LinearLatency
 from repro.network import ParallelLinkInstance
 
 
@@ -149,3 +153,190 @@ class TestMinimality:
         # With only 0.45 the best the Leader can do is put it all on link 2.
         outcome = induced_parallel_equilibrium(pigou_instance, [0.0, 0.45])
         assert outcome.cost > parallel_optimum(pigou_instance).cost + 1e-4
+
+
+# --------------------------------------------------------------------------- #
+# The one-solve closed form and its round-loop oracle
+# --------------------------------------------------------------------------- #
+def _floor(result):
+    """``min l(o)`` over the used links."""
+    opt = result.optimum.flows
+    return result.instance.latency_batch().values(opt)[opt > 0.0].min()
+
+
+def _excess(result):
+    """``l_i(o_i) - min l(o)`` per link."""
+    opt = result.optimum.flows
+    return result.instance.latency_batch().values(opt) - _floor(result)
+
+
+def _oracle_frozen(result):
+    return tuple(sorted(set().union(*(r.frozen_links for r in result.rounds))))
+
+
+#: (family, draw(m, level, seed)) for the seven families of the cold-solve
+#: benchmark stream; ``level`` 0 / 1 picks a light / heavy demand.
+AGREEMENT_FAMILIES = {
+    "random_linear_parallel":
+        lambda m, k, s: random_linear_parallel(m, (0.01, 2.0)[k], seed=s),
+    "random_mixed_parallel":
+        lambda m, k, s: random_mixed_parallel(m, (0.1, 5.0)[k], seed=s),
+    "random_polynomial_parallel":
+        lambda m, k, s: random_polynomial_parallel(m, (0.01, 2.0)[k], seed=s),
+    "random_mm1_parallel":
+        lambda m, k, s: random_mm1_parallel(m, (0.05, 0.7)[k], seed=s),
+    "heavy_tail_capacity":
+        lambda m, k, s: heavy_tail_capacity(
+            m, demand_fraction=(0.3, 0.9)[k], seed=s),
+    "mixed_family_soup":
+        lambda m, k, s: mixed_family_soup(max(m, 5), (0.3, 5.0)[k], seed=s),
+    "near_degenerate_breakpoints":
+        lambda m, k, s: near_degenerate_breakpoints(m, (1e-3, 10.0)[k],
+                                                    seed=s),
+}
+
+
+class TestClosedFormAgainstOracle:
+    """The closed form against the round loop under the same ``delta``."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("m", [2, 5, 20, 100])
+    @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
+    def test_agreement(self, family, m, level, seed):
+        instance = AGREEMENT_FAMILIES[family](m, level, seed)
+        result = optop(instance)
+        oracle = _oracle_frozen(result)
+        if family != "near_degenerate_breakpoints":
+            assert oracle == result.frozen_links
+            return
+        # Near ties: no per-round rule can see ``min l(o)``, so the loop may
+        # stop while links within ``delta`` of its last Nash level remain.
+        # It never freezes a link the closed form keeps, and every link it
+        # leaves that the closed form freezes lies in that band.
+        assert set(oracle) <= set(result.frozen_links)
+        last = result.rounds[-1]
+        level_n = parallel_nash(
+            instance.sub_instance(list(last.active_links),
+                                  last.remaining_flow)).common_value
+        for link in set(result.frozen_links) - set(oracle):
+            assert _excess(result)[link] <= (level_n - _floor(result)) \
+                + result.tie_tol * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_constant_links_agree(self, seed):
+        rng = np.random.default_rng(seed)
+        lats = [LinearLatency(*rng.uniform(0.1, 2.0, 2)) for _ in range(3)]
+        lats += [ConstantLatency(c) for c in rng.uniform(0.5, 2.5, 2)]
+        instance = ParallelLinkInstance(lats, float(rng.uniform(0.5, 4.0)))
+        result = optop(instance)
+        assert _oracle_frozen(result) == result.frozen_links
+
+    @pytest.mark.parametrize("family", sorted(AGREEMENT_FAMILIES))
+    def test_cost_guarantee(self, family):
+        """The followers' level on ``U`` is within ``delta`` of ``min l(o)``,
+        so ``C(S+T) <= C(O) + delta * r``."""
+        instance = AGREEMENT_FAMILIES[family](20, 1, 3)
+        result = optop(instance)
+        delta = result.tie_tol
+        floor = _floor(result)
+        level = result.outcome.follower_common_latency
+        slack = 1e-12 * max(1.0, abs(floor))
+        assert floor - slack <= level <= floor + delta + slack
+        assert result.induced_cost <= result.optimum_cost \
+            + delta * instance.demand + slack
+        assert delta == pytest.approx(
+            1e-8 * result.optimum_cost / instance.demand)
+
+
+class TestTies:
+    def test_last_bit_ties_do_not_freeze(self):
+        # The E15 row-7 cell: x, 1.5x and 2x tie at the optimum, but their
+        # computed latencies differ in the last bit.  An exact-equality
+        # rule freezes two of them and reports beta 0.3878.
+        instance = figure_4_example().with_demand(0.7009345791302621)
+        result = optop(instance)
+        assert result.frozen_links == (3,)
+        assert result.beta == pytest.approx(0.11569985568215897, abs=1e-9)
+        assert result.tie_margin > 1e3 * result.tie_tol
+
+    def test_genuine_gap_above_delta_freezes(self):
+        # Two links whose optimum latencies differ by 1e-6 of the mean:
+        # well above delta, so the slower one is frozen.
+        instance = ParallelLinkInstance(
+            [LinearLatency(1.0, 1.0), LinearLatency(1.0, 1.0 + 2e-6)], 2.0)
+        result = optop(instance)
+        assert result.frozen_links == (1,)
+        assert result.tie_margin == pytest.approx(1e-6, rel=1e-3)
+
+    def test_gap_below_delta_is_a_tie(self):
+        instance = ParallelLinkInstance(
+            [LinearLatency(1.0, 1.0), LinearLatency(1.0, 1.0 + 1e-9)], 2.0)
+        result = optop(instance)
+        assert result.beta == 0.0
+        assert result.frozen_links == ()
+        assert result.tie_margin is None
+
+    def test_all_constant_ties_need_no_control(self):
+        instance = ParallelLinkInstance([ConstantLatency(1.0)] * 3, 2.0)
+        result = optop(instance)
+        assert result.beta == 0.0
+        assert result.num_rounds == 1
+        assert result.induced_cost == pytest.approx(result.optimum_cost)
+
+    def test_constant_link_tied_with_increasing_links(self):
+        # l(0) of both affine links equals the constant: the optimum keeps
+        # everything on the constant link and nothing needs freezing.
+        instance = ParallelLinkInstance(
+            [ConstantLatency(1.0), LinearLatency(1.0, 1.0),
+             LinearLatency(2.0, 1.0)], 1.0)
+        result = optop(instance)
+        assert result.beta == 0.0
+        assert _oracle_frozen(result) == ()
+
+    def test_used_constants_sit_at_the_level(self):
+        # Two constants at the level 1 and one affine link: the constants
+        # carry 0.75 each at the optimum, above l(o) = 0.5 of the affine
+        # link, so both are frozen; the oracle needs the constant rule to
+        # see it, since the Nash level equals the constants' latency.
+        instance = ParallelLinkInstance(
+            [ConstantLatency(1.0), ConstantLatency(1.0), LinearLatency(1.0)],
+            2.0)
+        result = optop(instance)
+        assert result.frozen_links == (0, 1)
+        assert result.beta == pytest.approx(0.75)
+        assert result.rounds[0].frozen_links == (0, 1)
+        assert result.num_rounds == 2
+
+
+class TestOneSolve:
+    def test_three_water_fills_and_no_sub_instance(self, monkeypatch):
+        from repro.api import SolveConfig, solve
+        calls = []
+        original = ParallelLinkInstance.sub_instance
+        monkeypatch.setattr(
+            ParallelLinkInstance, "sub_instance",
+            lambda self, *a, **k: calls.append(a) or original(self, *a, **k))
+        instance = random_mixed_parallel(40, 5.0, seed=3)
+        report = solve(instance, "optop",
+                       config=SolveConfig(profile=True, cache=False))
+        phases = report.profile["phases"]
+        assert {name: p["calls"] for name, p in phases.items()} == {
+            "water_fill[optimum]": 1, "water_fill[nash]": 2}
+        assert calls == []
+        # The round trace is the only caller, and only on first access.
+        result = optop(instance)
+        assert calls == []
+        assert result.num_rounds > 1
+        assert len(calls) == result.num_rounds - 1
+        result.rounds
+        assert len(calls) == result.num_rounds - 1
+
+    def test_report_metadata_says_why_this_beta(self, figure4_instance):
+        from repro.api import solve
+        metadata = solve(figure4_instance, "optop").metadata
+        assert metadata["frozen_links"] == [3, 4]
+        result = optop(figure4_instance)
+        assert metadata["tie_tol"] == result.tie_tol
+        assert metadata["tie_margin"] == pytest.approx(1.0 / 12.0)
+        assert "num_rounds" not in metadata

@@ -185,50 +185,6 @@ class TestStackelbergFolding:
             float(shifted.integral(1.3)), rel=1e-12)
 
 
-class TestSubset:
-    def test_subset_matches_rebuilt_batch(self):
-        batch = LatencyBatch(MIXED)
-        indices = [7, 0, 3, 2, 5]
-        sub = batch.subset(indices)
-        rebuilt = LatencyBatch([MIXED[i] for i in indices])
-        loads = LOADS[: len(indices)]
-        np.testing.assert_allclose(sub.values(loads), rebuilt.values(loads))
-        np.testing.assert_allclose(sub.derivs(loads), rebuilt.derivs(loads))
-        np.testing.assert_allclose(sub.integrals(loads),
-                                   rebuilt.integrals(loads))
-        assert sub.latencies == rebuilt.latencies
-
-    def test_subset_preserves_generic_rows(self):
-        links = [SquareRootLatency(), LinearLatency(1.0, 0.0), MM1Latency(3.0)]
-        sub = LatencyBatch(links).subset([2, 0])
-        loads = np.array([0.5, 0.25])
-        expected = np.array([links[2].value(0.5), links[0].value(0.25)])
-        np.testing.assert_allclose(sub.values(loads), expected)
-
-    def test_subset_rejects_bad_indices(self):
-        batch = LatencyBatch(MIXED)
-        with pytest.raises(ModelError):
-            batch.subset([])
-        with pytest.raises(ModelError):
-            batch.subset([0, 0])
-        with pytest.raises(ModelError):
-            batch.subset([len(MIXED)])
-
-    def test_subset_level_profile_solves(self):
-        from repro.equilibrium.parallel import water_fill
-
-        batch = LatencyBatch(MIXED)
-        indices = [0, 2, 3, 5]
-        sub = batch.subset(indices)
-        links = [MIXED[i] for i in indices]
-        for kind in ("nash", "optimum"):
-            flows, level = water_fill(links, 2.0, kind, batch=sub)
-            ref_flows, ref_level = water_fill(links, 2.0, kind,
-                                              backend="reference")
-            np.testing.assert_allclose(flows, ref_flows, atol=1e-9)
-            assert level == pytest.approx(ref_level, abs=1e-9)
-
-
 class TestLevelProfile:
     @pytest.mark.parametrize("kind", ["nash", "optimum"])
     def test_grid_is_the_sorted_increasing_breakpoints(self, kind):
